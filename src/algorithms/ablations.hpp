@@ -35,7 +35,7 @@ class Pef3PlusNoRule2 final : public Algorithm {
     }
     s.has_moved_previous_step = view.exists_edge(ahead_is_incoming_dir);
   }
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kPef3PlusNoRule2};
   }
 };
@@ -52,7 +52,7 @@ class Pef3PlusNoRule3 final : public Algorithm {
     auto& s = static_cast<Pef3PlusState&>(state);
     s.has_moved_previous_step = view.exists_edge_ahead;  // never turns
   }
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kPef3PlusNoRule3};
   }
 };

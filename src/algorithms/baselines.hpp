@@ -35,7 +35,7 @@ class KeepDirection final : public Algorithm {
   }
   void compute(const View&, LocalDirection&, AlgorithmState&) const override {
   }
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kKeepDirection};
   }
 };
@@ -53,7 +53,7 @@ class BounceOnMissing final : public Algorithm {
       dir = opposite(dir);
     }
   }
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kBounce};
   }
 };
@@ -90,7 +90,7 @@ class RandomWalk final : public Algorithm {
     auto& s = static_cast<RandomWalkState&>(state);
     if (s.rng.next_bool(0.5)) dir = opposite(dir);
   }
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kRandomWalk, seed_};
   }
 
@@ -131,7 +131,7 @@ class Oscillating final : public Algorithm {
       s.rounds_since_turn = 0;
     }
   }
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kOscillating, 0, period_};
   }
 

@@ -5,14 +5,15 @@
 // semantics of the virtual twins in pef1/pef2/pef3plus/baselines/ablations.
 // Each case reads the same View, flips the same `dir`, and mutates the same
 // logical state (held in the POD KernelState instead of a heap
-// AlgorithmState), so a kernel run is bit-identical to a virtual run —
-// tests/unified_engine_test.cpp pins every pair across adversaries and
-// seeds.
+// AlgorithmState), so an Engine run is bit-identical to a reference
+// simulator run of the virtual twin — tests/unified_engine_test.cpp pins
+// every pair across adversaries and seeds, and the rule-level tests run
+// both forms on the same views (tests/compute_twin.hpp).
 //
-// When adding a registry algorithm: add a KernelId, a case here, an
-// Algorithm::kernel() override on the virtual class, and extend the
-// differential test's registry sweep (it iterates algorithm_names(), so the
-// sweep part is automatic).
+// When adding a registry algorithm: add a KernelId, a case here, and the
+// Algorithm::kernel() override on the virtual class (it is pure virtual).
+// The differential tests iterate algorithm_names(), so the registry sweep
+// picks the new pair up automatically.
 #pragma once
 
 #include "common/rng.hpp"

@@ -23,7 +23,7 @@ class Pef1 final : public Algorithm {
   }
   void compute(const View& view, LocalDirection& dir,
                AlgorithmState& state) const override;
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kPef1};
   }
 };

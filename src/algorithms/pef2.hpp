@@ -21,7 +21,7 @@ class Pef2 final : public Algorithm {
   }
   void compute(const View& view, LocalDirection& dir,
                AlgorithmState& state) const override;
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kPef2};
   }
 };

@@ -41,7 +41,7 @@ class Pef3Plus final : public Algorithm {
       RobotId) const override;
   void compute(const View& view, LocalDirection& dir,
                AlgorithmState& state) const override;
-  [[nodiscard]] std::optional<KernelSpec> kernel() const override {
+  [[nodiscard]] KernelSpec kernel() const override {
     return KernelSpec{KernelId::kPef3Plus};
   }
 };

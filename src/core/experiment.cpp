@@ -1,7 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <optional>
-
 #include "algorithms/registry.hpp"
 #include "common/check.hpp"
 #include "engine/batch_engine.hpp"
@@ -68,9 +66,8 @@ RunResult analyze_run(const Ring& ring, const Trace& trace,
   RunResult result;
   result.coverage = analyze_coverage(trace);
   result.towers = analyze_towers(trace);
-  const Time patience =
-      config.audit_patience > 0 ? config.audit_patience : config.horizon / 4;
-  result.legality = audit_connectivity(ring, trace.edge_history(), patience);
+  result.legality =
+      audit_connectivity(ring, trace.edge_history(), config.horizon / 4);
   result.perpetual = result.coverage.perpetual(config.nodes);
   result.adversary_legal = result.legality.connected_over_time;
   result.algorithm_name = config.algorithm->name();
@@ -124,47 +121,17 @@ RunResult run_experiment(const ExperimentConfig& config) {
       adversary_from_config(config.adversary, ring, config.seed,
                             config.robots, config.topology);
 
-  const std::vector<RobotPlacement> placements =
-      config.placements ? *config.placements
-                        : spread_placements(ring, config.robots);
+  // SSYNC/ASYNC run under seeded Bernoulli activation / phase scheduling;
+  // the battery adversary ignores the activation mask.
+  EngineOptions options;
+  options.record_trace = true;  // the analyses are all trace-based
+  Engine engine = make_standard_engine(
+      ring, config.model, config.algorithm, std::move(adversary),
+      config.activation_p, config.seed,
+      spread_placements(ring, config.robots), options);
+  engine.run(config.horizon);
 
-  const Trace* trace = nullptr;
-  std::optional<Simulator> sim;
-  std::optional<Engine> engine;
-  if (config.model != ExecutionModel::kFsync) {
-    // SSYNC/ASYNC run on the unified Engine with seeded Bernoulli
-    // activation / phase scheduling; the battery adversary ignores the
-    // activation mask.
-    EngineOptions options;
-    options.record_trace = true;
-    auto wrapped =
-        std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-    if (config.model == ExecutionModel::kSsync) {
-      engine.emplace(ring, config.algorithm, std::move(wrapped),
-                     standard_ssync_activation(config.activation_p,
-                                               config.seed),
-                     placements, options);
-    } else {
-      engine.emplace(ring, config.algorithm, std::move(wrapped),
-                     standard_async_phases(config.activation_p, config.seed),
-                     placements, options);
-    }
-    engine->run(config.horizon);
-    trace = &engine->trace();
-  } else if (config.fast_engine) {
-    EngineOptions options;
-    options.record_trace = true;
-    engine.emplace(ring, config.algorithm, std::move(adversary), placements,
-                   options);
-    engine->run(config.horizon);
-    trace = &engine->trace();
-  } else {
-    sim.emplace(ring, config.algorithm, std::move(adversary), placements);
-    sim->run(config.horizon);
-    trace = &sim->trace();
-  }
-
-  return analyze_run(ring, *trace, config, config.seed);
+  return analyze_run(ring, engine.trace(), config, config.seed);
 }
 
 std::vector<RunResult> run_battery(ExperimentConfig config,
@@ -176,14 +143,10 @@ std::vector<RunResult> run_battery(ExperimentConfig config,
   // Batched fast path: the battery is B runs of one scenario with
   // different seeds — BatchEngine's shape — so run them as one traced
   // replica batch and analyse each replica's trace.  Traces (and therefore
-  // every analysis) are bit-identical to the sequential path, which stays
-  // as the fallback for kernel-less algorithms and explicit placements
-  // (those may start towered, which only the reference Simulator accepts).
-  const bool batchable = seeds > 1 && config.algorithm != nullptr &&
-                         config.algorithm->kernel().has_value() &&
-                         !config.placements.has_value() &&
-                         config.robots < config.nodes;
-  if (batchable) {
+  // every analysis) are bit-identical to the sequential path, which a
+  // single seed or a horizon past the batch's u32 time cells takes.
+  if (seeds > 1 && config.horizon <= kMaxBatchHorizon) {
+    PEF_CHECK(config.algorithm != nullptr);
     PEF_CHECK(config.robots >= 1);
     PEF_CHECK(config.nodes >= 2);
     PEF_CHECK(config.horizon >= 1);
@@ -236,9 +199,6 @@ ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
   config.seed = spec.seed;
   config.model = spec.model;
   config.activation_p = spec.activation_p;
-  // Specs run on the unified Engine: bit-identical to the reference
-  // engines (differentially tested) and ~10x faster.
-  config.fast_engine = true;
   return config;
 }
 

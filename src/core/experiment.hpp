@@ -4,13 +4,13 @@
 //
 // Scenarios are described by the data-only ScenarioSpec (core/spec.hpp);
 // run_scenario() executes one.  ExperimentConfig remains as the thin
-// programmatic adapter underneath (it holds live objects — an AlgorithmPtr,
-// explicit placements — that a serializable spec cannot).
+// programmatic adapter underneath (it holds a live AlgorithmPtr, which a
+// serializable spec cannot).  Every run executes on the unified Engine with
+// trace recording on, so the whole trace analysis suite applies.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,15 +66,6 @@ struct ExperimentConfig {
   AdversaryConfig adversary;
   Time horizon = 2000;
   std::uint64_t seed = 1;
-  /// Optional explicit placements; default = evenly spread, same chirality.
-  std::optional<std::vector<RobotPlacement>> placements;
-  /// Patience used by the legality audit for suspected-missing edges.
-  Time audit_patience = 0;  // 0 => horizon / 4
-  /// Execute on the unified Engine (with trace recording, so every analysis
-  /// still runs) instead of the reference Simulator.  Differential tests pin
-  /// the two engines to bit-identical traces, so results are unchanged —
-  /// only faster.  Forced on for non-FSYNC models.
-  bool fast_engine = false;
   /// Activation model.  SSYNC runs under seeded Bernoulli activation and
   /// ASYNC under seeded Bernoulli phase advancement (probability
   /// `activation_p`, same default as SweepGrid and pef_run); the adversary

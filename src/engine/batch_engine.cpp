@@ -636,13 +636,8 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   robots_ = static_cast<std::uint32_t>(replicas[0].placements.size());
   PEF_CHECK(robots_ >= 1);
 
-  const auto kernel0 = replicas[0].algorithm
-                           ? replicas[0].algorithm->kernel()
-                           : std::nullopt;
-  PEF_CHECK_MSG(kernel0.has_value(),
-                "BatchEngine runs the devirtualized kernel path; the "
-                "algorithm must provide a kernel");
-  kernel_id_ = kernel0->id;
+  PEF_CHECK(replicas[0].algorithm != nullptr);
+  kernel_id_ = replicas[0].algorithm->kernel().id;
 
   replica_of_lane_.resize(batch_);
   lane_of_replica_.resize(batch_);
@@ -794,13 +789,13 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
 
 void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   PEF_CHECK(replica.algorithm != nullptr);
-  const auto kernel = replica.algorithm->kernel();
-  PEF_CHECK_MSG(kernel.has_value() && kernel->id == kernel_id_,
+  const KernelSpec kernel = replica.algorithm->kernel();
+  PEF_CHECK_MSG(kernel.id == kernel_id_,
                 "every replica of a batch must run the same KernelId");
   PEF_CHECK_MSG(replica.placements.size() == robots_,
                 "every replica of a batch must place the same robot count");
   PEF_CHECK_MSG(
-      replica.horizon < std::numeric_limits<std::uint32_t>::max(),
+      replica.horizon <= kMaxBatchHorizon,
       "batch horizons must fit 32 bits (the visit cells store u32 times)");
 
   switch (model_) {
@@ -832,7 +827,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   }
 
   algorithms_[lane] = replica.algorithm;
-  specs_[lane] = *kernel;
+  specs_[lane] = kernel;
   adversaries_[lane] = std::move(replica.adversary);
   ssync_advs_[lane] = std::move(replica.ssync_adversary);
   activations_[lane] = std::move(replica.activation);

@@ -74,6 +74,8 @@
 // including ragged horizons.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -95,9 +97,9 @@ namespace pef {
 /// Every replica must share the ring, the robot count and the algorithm's
 /// KernelId; seeds, placements, adversary draws and horizons may differ.
 struct BatchReplica {
-  /// Must provide a kernel (Algorithm::kernel()); every registry algorithm
-  /// does.  The KernelSpec may differ per replica (per-seed random-walk
-  /// streams), the KernelId may not.
+  /// The batch runs its kernel (Algorithm::kernel()).  The KernelSpec may
+  /// differ per replica (per-seed random-walk streams), the KernelId may
+  /// not.
   AlgorithmPtr algorithm;
 
   /// FSYNC: the per-replica edge adversary.
@@ -113,9 +115,16 @@ struct BatchReplica {
   std::vector<RobotPlacement> placements;
 
   /// Rounds (FSYNC/SSYNC) or ticks (ASYNC) this replica runs before it is
-  /// compacted out of the batch.  Horizons may differ across replicas.
+  /// compacted out of the batch.  Horizons may differ across replicas, and
+  /// none may exceed kMaxBatchHorizon.
   Time horizon = 0;
 };
+
+/// The longest replica horizon a BatchEngine accepts: its visit cells store
+/// u32 times.  Entry points that batch seed groups (SweepRunner, pef_run
+/// --batch) route longer runs to solo Engines, which keep 64-bit time.
+inline constexpr Time kMaxBatchHorizon =
+    std::numeric_limits<std::uint32_t>::max() - 1;
 
 /// Wire `replica`'s model-specific pieces the way every FSYNC-battery
 /// entry point does it (SweepRunner, run_battery, pef_run --batch): FSYNC

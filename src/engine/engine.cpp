@@ -6,35 +6,32 @@
 #include "common/check.hpp"
 
 namespace pef {
-namespace {
-
-/// ComputeFn for virtual dispatch: the canonical Algorithm interface.
-struct VirtualCompute {
-  const Algorithm* algorithm;
-  std::unique_ptr<AlgorithmState>* states;
-  void operator()(RobotId i, const View& view, LocalDirection& dir) const {
-    algorithm->compute(view, dir, *states[i]);
-  }
-};
-
-/// ComputeFn for kernel dispatch: the KernelId is a template argument, so
-/// each engine loop instantiation inlines the kernel body directly.
-template <KernelId Id>
-struct KernelCompute {
-  const KernelSpec* spec;
-  KernelState* states;
-  void operator()(RobotId i, const View& view, LocalDirection& dir) const {
-    kernel_compute<Id>(*spec, view, dir, states[i]);
-  }
-};
-
-}  // namespace
-
 std::optional<ExecutionModel> parse_execution_model(const std::string& name) {
   if (name == "fsync") return ExecutionModel::kFsync;
   if (name == "ssync") return ExecutionModel::kSsync;
   if (name == "async") return ExecutionModel::kAsync;
   return std::nullopt;
+}
+
+Engine make_standard_engine(Ring ring, ExecutionModel model,
+                            AlgorithmPtr algorithm, AdversaryPtr adversary,
+                            double activation_p, std::uint64_t seed,
+                            const std::vector<RobotPlacement>& placements,
+                            EngineOptions options) {
+  if (model == ExecutionModel::kFsync) {
+    return Engine(ring, std::move(algorithm), std::move(adversary),
+                  placements, options);
+  }
+  auto wrapped =
+      std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
+  if (model == ExecutionModel::kSsync) {
+    return Engine(ring, std::move(algorithm), std::move(wrapped),
+                  standard_ssync_activation(activation_p, seed), placements,
+                  options);
+  }
+  return Engine(ring, std::move(algorithm), std::move(wrapped),
+                standard_async_phases(activation_p, seed), placements,
+                options);
 }
 
 Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
@@ -114,12 +111,7 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
     }
   }
 
-  if (options_.dispatch != ComputeDispatch::kVirtual) {
-    kernel_ = algorithm_->kernel();
-  }
-  PEF_CHECK_MSG(
-      !(options_.dispatch == ComputeDispatch::kKernel && !kernel_),
-      "kernel dispatch requested but the algorithm provides no kernel");
+  kernel_ = algorithm_->kernel();
 
   occ_.assign(ring_.node_count(), 0);
   edges_ = EdgeSet(ring_.edge_count());
@@ -132,21 +124,13 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
   dir_.reserve(k);
   right_cw_.reserve(k);
   moved_.assign(k, 0);
-  if (kernel_) {
-    kstates_.resize(k);
-  } else {
-    states_.reserve(k);
-  }
+  kstates_.resize(k);
   for (std::uint32_t i = 0; i < k; ++i) {
     PEF_CHECK(ring_.is_valid_node(placements[i].node));
     node_.push_back(placements[i].node);
     dir_.push_back(static_cast<std::uint8_t>(LocalDirection::kLeft));
     right_cw_.push_back(placements[i].chirality.right_is_clockwise() ? 1 : 0);
-    if (kernel_) {
-      init_kernel_state(*kernel_, static_cast<RobotId>(i), kstates_[i]);
-    } else {
-      states_.push_back(algorithm_->make_state(static_cast<RobotId>(i)));
-    }
+    init_kernel_state(kernel_, static_cast<RobotId>(i), kstates_[i]);
     if (++occ_[placements[i].node] == 2) ++multi_nodes_;
   }
 
@@ -154,12 +138,6 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
   if (options_.record_trace) {
     trace_ = std::make_unique<Trace>(ring_, snapshot());
   }
-}
-
-const AlgorithmState& Engine::robot_state(RobotId r) const {
-  PEF_CHECK_MSG(!kernel_,
-                "robot_state() is only available under virtual dispatch");
-  return *states_[r];
 }
 
 Phase Engine::phase_of(RobotId r) const {
@@ -260,34 +238,34 @@ void Engine::step() {
   observe_boundary(now_);
 }
 
-template <typename ComputeFn>
-void Engine::look_compute_all(const ComputeFn& compute_fn) {
+// The KernelId is a template argument, so each loop instantiation inlines
+// the kernel body directly.
+template <KernelId Id>
+void Engine::look_compute_all() {
   const auto k = static_cast<std::uint32_t>(node_.size());
   for (std::uint32_t i = 0; i < k; ++i) {
     const View view = look(frame_of(i));
     LocalDirection dir = static_cast<LocalDirection>(dir_[i]);
-    compute_fn(i, view, dir);
+    kernel_compute<Id>(kernel_, view, dir, kstates_[i]);
     dir_[i] = static_cast<std::uint8_t>(dir);
   }
 }
 
-template <typename ComputeFn>
-void Engine::look_compute_list(const ComputeFn& compute_fn,
-                               const std::vector<std::uint32_t>& idx) {
+template <KernelId Id>
+void Engine::look_compute_list(const std::vector<std::uint32_t>& idx) {
   for (const std::uint32_t i : idx) {
     const View view = look(frame_of(i));
     LocalDirection dir = static_cast<LocalDirection>(dir_[i]);
-    compute_fn(i, view, dir);
+    kernel_compute<Id>(kernel_, view, dir, kstates_[i]);
     dir_[i] = static_cast<std::uint8_t>(dir);
   }
 }
 
-template <typename ComputeFn>
-void Engine::compute_pending_list(const ComputeFn& compute_fn,
-                                  const std::vector<std::uint32_t>& idx) {
+template <KernelId Id>
+void Engine::compute_pending_list(const std::vector<std::uint32_t>& idx) {
   for (const std::uint32_t i : idx) {
     LocalDirection dir = static_cast<LocalDirection>(dir_[i]);
-    compute_fn(i, pending_views_[i], dir);
+    kernel_compute<Id>(kernel_, pending_views_[i], dir, kstates_[i]);
     dir_[i] = static_cast<std::uint8_t>(dir);
     phases_[i] = Phase::kMove;
   }
@@ -323,13 +301,8 @@ void Engine::step_fsync() {
   // Look + Compute.  The Look phase reads only node_/occ_/edges_, none of
   // which change before Move, so fusing the two phases preserves the
   // synchronous semantics; Compute writes only the robot's own dir/state.
-  if (kernel_) {
-    with_kernel_id(kernel_->id, [&]<KernelId Id>() {
-      look_compute_all(KernelCompute<Id>{&*kernel_, kstates_.data()});
-    });
-  } else {
-    look_compute_all(VirtualCompute{algorithm_.get(), states_.data()});
-  }
+  with_kernel_id(kernel_.id,
+                 [&]<KernelId Id>() { look_compute_all<Id>(); });
 
   // Move: cross the pointed edge iff present in E_t (same set all round).
   // Sequential in-place update is safe: Look already happened for everyone.
@@ -393,15 +366,9 @@ void Engine::step_ssync() {
   // Look + Compute for the activated subset.  As in FSYNC, every activated
   // robot's Look reads the start-of-round configuration (occ_/node_ are
   // untouched until the Move pass below).
-  if (kernel_) {
-    with_kernel_id(kernel_->id, [&]<KernelId Id>() {
-      look_compute_list(KernelCompute<Id>{&*kernel_, kstates_.data()},
-                        active_list_);
-    });
-  } else {
-    look_compute_list(VirtualCompute{algorithm_.get(), states_.data()},
-                      active_list_);
-  }
+  with_kernel_id(kernel_.id, [&]<KernelId Id>() {
+    look_compute_list<Id>(active_list_);
+  });
 
   // The policies and adversaries only read the gamma mirror at the next
   // round boundary, so the per-robot dir updates batch up fine here.
@@ -482,15 +449,9 @@ void Engine::step_async() {
 
   // Pass 1b: Compute phases — the only ASYNC work that touches the
   // algorithm, and therefore the only templated loop.
-  if (kernel_) {
-    with_kernel_id(kernel_->id, [&]<KernelId Id>() {
-      compute_pending_list(KernelCompute<Id>{&*kernel_, kstates_.data()},
-                           compute_list_);
-    });
-  } else {
-    compute_pending_list(VirtualCompute{algorithm_.get(), states_.data()},
-                         compute_list_);
-  }
+  with_kernel_id(kernel_.id, [&]<KernelId Id>() {
+    compute_pending_list<Id>(compute_list_);
+  });
   for (const std::uint32_t i : compute_list_) {
     const auto dir = static_cast<LocalDirection>(dir_[i]);
     gamma_mirror_->set_robot_dir(i, dir);
@@ -522,11 +483,10 @@ void Engine::run(Time rounds) {
 
 bool Engine::ff_eligible() {
   // Every excluded component would make the sampled state an incomplete
-  // description of the future: a trace must record each round; virtual
-  // dispatch hides algorithm memory behind heap AlgorithmState; Bernoulli
+  // description of the future: a trace must record each round; Bernoulli
   // activation and adaptive adversaries consume unbounded RNG / observe
   // positions, so their future is not a function of the sampled state.
-  if (options_.record_trace || !kernel_.has_value()) return false;
+  if (options_.record_trace) return false;
 
   const EdgeSchedule* schedule = nullptr;
   Time activation_period = 1;
@@ -569,7 +529,7 @@ bool Engine::ff_eligible() {
 void Engine::pack_state(std::vector<std::uint64_t>& out) const {
   out.clear();
   const std::uint32_t k = robot_count();
-  const bool rng_state = kernel_->id == KernelId::kRandomWalk;
+  const bool rng_state = kernel_.id == KernelId::kRandomWalk;
   for (std::uint32_t i = 0; i < k; ++i) {
     out.push_back((static_cast<std::uint64_t>(node_[i]) << 32) |
                   (static_cast<std::uint64_t>(dir_[i]) << 1) |

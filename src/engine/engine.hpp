@@ -1,31 +1,25 @@
 // Engine — the unified throughput execution core.
 //
-// One engine, three execution models (the paper's Section 1 taxonomy), two
-// Compute dispatch paths:
+// One engine, three execution models (the paper's Section 1 taxonomy):
 //
-//   model axis (ExecutionModel):
-//     FSYNC - every robot runs an atomic Look-Compute-Move every round
-//             (the paper's model; reference: scheduler/Simulator);
-//     SSYNC - an ActivationPolicy selects a subset each round, only
-//             selected robots run L-C-M (reference: SsyncSimulator);
-//     ASYNC - a PhaseScheduler advances each robot through its own
-//             Look / Compute / Move machine one phase per tick, with
-//             possibly-stale views (reference: AsyncSimulator).
+//   FSYNC - every robot runs an atomic Look-Compute-Move every round
+//           (the paper's model; reference: scheduler/Simulator);
+//   SSYNC - an ActivationPolicy selects a subset each round, only
+//           selected robots run L-C-M (reference: SsyncSimulator);
+//   ASYNC - a PhaseScheduler advances each robot through its own
+//           Look / Compute / Move machine one phase per tick, with
+//           possibly-stale views (reference: AsyncSimulator).
 //
-//   dispatch axis (ComputeDispatch):
-//     kernel  - the algorithm's devirtualized twin (robot/kernel.hpp,
-//               algorithms/kernels.hpp): enum-dispatched compute over POD
-//               state held in one contiguous vector;
-//     virtual - the canonical Algorithm interface (heap AlgorithmState,
-//               virtual compute), kept as the reference path.
-//
-// Differential tests (tests/fast_engine_test.cpp and
-// tests/unified_engine_test.cpp) pin every (model, dispatch) combination to
-// its reference engine round-by-round, so any cell of the cross product can
-// be used interchangeably — the engine is simply faster:
+// Compute always runs the algorithm's devirtualized kernel
+// (robot/kernel.hpp, algorithms/kernels.hpp): enum-dispatched compute over
+// POD state held in one contiguous vector.  The reference engines run the
+// virtual Algorithm twins; differential tests (tests/fast_engine_test.cpp
+// and tests/unified_engine_test.cpp) pin every model to its reference
+// engine round-by-round, so the engine is interchangeable with them — just
+// faster:
 //
 //   * struct-of-arrays robot state: parallel vectors for node, local dir,
-//     chirality and (kernel path) POD algorithm memory;
+//     chirality and POD kernel memory;
 //   * a per-node occupancy histogram maintained incrementally, making the
 //     Look phase's multiplicity predicate O(1) per robot;
 //   * a reusable EdgeSet scratch buffer: oblivious schedules and SSYNC
@@ -82,29 +76,6 @@ enum class ExecutionModel : std::uint8_t {
 [[nodiscard]] std::optional<ExecutionModel> parse_execution_model(
     const std::string& name);
 
-/// How the engine runs the Compute phase.
-enum class ComputeDispatch : std::uint8_t {
-  /// Kernel when the algorithm provides one, else virtual (the default).
-  kAuto = 0,
-  /// Devirtualized kernel; constructing an Engine for an algorithm without
-  /// a kernel aborts.
-  kKernel = 1,
-  /// The canonical virtual Algorithm path.
-  kVirtual = 2,
-};
-
-[[nodiscard]] constexpr const char* to_string(ComputeDispatch d) {
-  switch (d) {
-    case ComputeDispatch::kAuto:
-      return "auto";
-    case ComputeDispatch::kKernel:
-      return "kernel";
-    case ComputeDispatch::kVirtual:
-      return "virtual";
-  }
-  return "?";
-}
-
 struct EngineOptions {
   /// Record a full Trace (positions, dirs, edge sets per round).  Off by
   /// default: the engine's niche is long timing sweeps; flip it on when the
@@ -115,13 +86,8 @@ struct EngineOptions {
   /// fewer robots than nodes and a towerless initial configuration.
   bool enforce_well_initiated = true;
 
-  /// Compute dispatch path; kAuto picks the kernel whenever the algorithm
-  /// has one.
-  ComputeDispatch dispatch = ComputeDispatch::kAuto;
-
   /// Cycle detection + exact stat extrapolation for run().  Only engages on
-  /// fully deterministic configurations (kernel dispatch, oblivious periodic
-  /// edge schedule, non-Bernoulli activation, no trace); anything else
+  /// fully deterministic configurations (oblivious periodic edge schedule, non-Bernoulli activation, no trace); anything else
   /// silently runs the plain round loop.  Results are bit-identical either
   /// way.
   FastForwardOptions fast_forward;
@@ -177,8 +143,6 @@ class Engine {
   void run(Time rounds);
 
   [[nodiscard]] ExecutionModel model() const { return model_; }
-  /// True when Compute runs through the devirtualized kernel path.
-  [[nodiscard]] bool kernel_dispatch() const { return kernel_.has_value(); }
 
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] const Ring& ring() const { return ring_; }
@@ -193,9 +157,6 @@ class Engine {
   [[nodiscard]] Chirality robot_chirality(RobotId r) const {
     return Chirality(right_cw_[r] != 0);
   }
-  /// Persistent algorithm memory of robot `r` — virtual dispatch only (the
-  /// kernel path stores POD KernelState instead).
-  [[nodiscard]] const AlgorithmState& robot_state(RobotId r) const;
   /// Pending phase of robot `r` — ASYNC only.
   [[nodiscard]] Phase phase_of(RobotId r) const;
 
@@ -245,30 +206,26 @@ class Engine {
   /// extrapolate all stats over the skipped repetitions, replay the tail.
   void run_fast_forward(Time target);
   /// The step_* entry points dispatch ONCE per round on the kernel id, and
-  /// ONLY the fused Look+Compute loop is instantiated per kernel: under
-  /// kernel dispatch the algorithm's compute inlines into that loop body (no
-  /// per-robot branch or indirect call); under virtual dispatch ComputeFn
-  /// wraps the canonical Algorithm::compute call.  Everything else — mask
-  /// compaction, Move, trace records, the gamma mirror — is shared
-  /// non-templated code, so each kernel instantiation stays a few cache
-  /// lines instead of a whole round loop (the fix for the SSYNC/ASYNC
-  /// kernel-dispatch regression: per-robot mask branches and trace
-  /// bookkeeping no longer live inside the per-kernel loop).
+  /// ONLY the fused Look+Compute loop is instantiated per kernel: the
+  /// algorithm's compute inlines into that loop body (no per-robot branch
+  /// or indirect call).  Everything else — mask compaction, Move, trace
+  /// records, the gamma mirror — is shared non-templated code, so each
+  /// kernel instantiation stays a few cache lines instead of a whole round
+  /// loop (per-robot mask branches and trace bookkeeping stay out of the
+  /// per-kernel loop).
   void step_fsync();
   void step_ssync();
   void step_async();
   /// Fused Look+Compute over every robot (FSYNC).
-  template <typename ComputeFn>
-  void look_compute_all(const ComputeFn& compute_fn);
+  template <KernelId Id>
+  void look_compute_all();
   /// Fused Look+Compute over a compacted index list (SSYNC activated set).
-  template <typename ComputeFn>
-  void look_compute_list(const ComputeFn& compute_fn,
-                         const std::vector<std::uint32_t>& idx);
+  template <KernelId Id>
+  void look_compute_list(const std::vector<std::uint32_t>& idx);
   /// Compute over pending Look views for a compacted index list (ASYNC
   /// Compute phases); advances each robot's phase machine to Move.
-  template <typename ComputeFn>
-  void compute_pending_list(const ComputeFn& compute_fn,
-                            const std::vector<std::uint32_t>& idx);
+  template <KernelId Id>
+  void compute_pending_list(const std::vector<std::uint32_t>& idx);
 
   /// Robot `i`'s chirality-resolved geometry at its current node/dir: the
   /// single source of the ahead/behind edge mapping every Look and Move
@@ -305,9 +262,8 @@ class Engine {
   std::vector<NodeId> node_;
   std::vector<std::uint8_t> dir_;       // LocalDirection
   std::vector<std::uint8_t> right_cw_;  // Chirality::right_is_clockwise
-  // Algorithm memory: exactly one of the two is populated.
-  std::vector<std::unique_ptr<AlgorithmState>> states_;  // virtual dispatch
-  std::optional<KernelSpec> kernel_;                     // kernel dispatch
+  // Algorithm memory: the kernel plus one POD state per robot.
+  KernelSpec kernel_;
   std::vector<KernelState> kstates_;
 
   // ASYNC phase machines + pending Look views.
@@ -355,5 +311,16 @@ class Engine {
 
   std::unique_ptr<Trace> trace_;
 };
+
+/// An Engine wired the way every FSYNC-battery entry point wires a solo run
+/// (run_experiment, SweepRunner, pef_run; the solo counterpart of
+/// wire_standard_replica): FSYNC takes `adversary` directly; SSYNC/ASYNC
+/// adapt it through SsyncFromFsyncAdversary and run under the standard
+/// seeded Bernoulli activation / phase scheduler, so solo and batched runs
+/// of the same (model, seed) see identical streams.
+[[nodiscard]] Engine make_standard_engine(
+    Ring ring, ExecutionModel model, AlgorithmPtr algorithm,
+    AdversaryPtr adversary, double activation_p, std::uint64_t seed,
+    const std::vector<RobotPlacement>& placements, EngineOptions options = {});
 
 }  // namespace pef

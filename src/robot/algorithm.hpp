@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/types.hpp"
@@ -57,14 +56,12 @@ class Algorithm {
   virtual void compute(const View& view, LocalDirection& dir,
                        AlgorithmState& state) const = 0;
 
-  /// The algorithm's devirtualized twin, when one exists: a KernelSpec the
-  /// engine can run through the enum-dispatched POD compute path
-  /// (algorithms/kernels.hpp) instead of this virtual interface.  Must be
-  /// behaviourally identical to compute() — differential tests enforce it.
-  /// Every registry algorithm provides one; bespoke algorithms may not.
-  [[nodiscard]] virtual std::optional<KernelSpec> kernel() const {
-    return std::nullopt;
-  }
+  /// The algorithm's devirtualized twin: the KernelSpec the production
+  /// engines (Engine, BatchEngine) run through the enum-dispatched POD
+  /// compute path (algorithms/kernels.hpp).  Must be behaviourally
+  /// identical to compute() — differential tests against the reference
+  /// simulators, which run compute(), enforce it.
+  [[nodiscard]] virtual KernelSpec kernel() const = 0;
 };
 
 using AlgorithmPtr = std::shared_ptr<const Algorithm>;

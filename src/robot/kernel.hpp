@@ -2,17 +2,20 @@
 //
 // Every registry algorithm exists in two forms: the canonical virtual
 // `Algorithm` (heap AlgorithmState, virtual compute — the reference the
-// proofs are read against) and an `AlgorithmKernel` twin: an enum-dispatched
-// compute function over POD per-robot state that the engine compiles into
-// its hot loop.  A kernel is identified by a KernelSpec — the KernelId plus
-// the few scalar parameters (seed, period) a family needs — and its whole
-// per-robot memory is one fixed-size KernelState, so an engine stores all
-// robot memories in a single contiguous vector: no unique_ptr chase, no
-// virtual call, per round.
+// proofs are read against, run by the reference simulators) and its kernel
+// twin: an enum-dispatched compute function over POD per-robot state, the
+// only Compute path the production engines (Engine, BatchEngine) run.  A
+// kernel is identified by a KernelSpec — the KernelId plus the few scalar
+// parameters (seed, period) a family needs — and its whole per-robot memory
+// is one fixed-size KernelState, so an engine stores all robot memories in
+// a single contiguous vector: no unique_ptr chase, no virtual call, per
+// round.
 //
-// Differential tests (tests/unified_engine_test.cpp) pin every kernel to
-// its virtual twin bit-for-bit; the kernel implementations themselves live
-// in algorithms/kernels.hpp.
+// Differential tests pin every kernel to its virtual twin bit-for-bit: the
+// engines against the reference simulators round by round
+// (tests/unified_engine_test.cpp), and each rule on the same views
+// (tests/compute_twin.hpp).  The kernel implementations themselves live in
+// algorithms/kernels.hpp.
 #pragma once
 
 #include <cstdint>

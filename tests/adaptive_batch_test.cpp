@@ -10,6 +10,8 @@
 //     greedy-blocker) adversaries;
 //   * byte-identical sweep JSON across max_batch in {0, 1, 16, 256} and
 //     engine_threads in {1, 4};
+//   * horizons past the batch's u32 visit cells route to solo Engines in
+//     SweepRunner and pef_run --batch instead of aborting;
 //   * the pef_run CLI: --batch 1/2 route to solo Engines (and say so in the
 //     footer), --batch 16/auto to the BatchEngine, with per-seed table rows
 //     identical across the routes, --threads, and PEF_BATCH_ISA tiers.
@@ -21,6 +23,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -304,6 +307,35 @@ TEST(AdaptiveBatch, SweepJsonIdenticalAcrossWidthsAndThreads) {
   }
 }
 
+// A seed group wide enough to batch but with a horizon past the batch's u32
+// visit cells (kMaxBatchHorizon) must run on solo Engines (64-bit time) and produce exactly the unbatched
+// sweep's bytes.  Fast-forward keeps the 5e9-round cells to a few periods.
+TEST(AdaptiveBatch, HorizonPastU32RoutesToSoloEngines) {
+  SweepSpec spec;
+  spec.algorithms = {"pef3+"};
+  spec.adversaries = {adversary_config(AdversaryKind::kStatic)};
+  spec.ring_sizes = {16};
+  spec.robot_counts = {3};
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) spec.seeds.push_back(seed);
+  spec.horizon = 5'000'000'000;
+  spec.fast_forward = true;
+  ASSERT_GT(spec.horizon, std::numeric_limits<std::uint32_t>::max());
+  ASSERT_TRUE(plan_batch(ExecutionModel::kFsync, 16, 3, 32, spec.max_batch)
+                  .use_batch());
+  ASSERT_FALSE(spec.validate().has_value());
+
+  spec.batch_seeds = true;
+  const SweepResult batched = SweepRunner(2).run(spec);
+  spec.batch_seeds = false;
+  const SweepResult solo = SweepRunner(2).run(spec);
+  ASSERT_EQ(batched.cells.size(), 32u);
+  EXPECT_EQ(batched.to_json(), solo.to_json());
+  for (const SweepCell& cell : batched.cells) {
+    EXPECT_EQ(cell.rounds_covered, spec.horizon) << "seed " << cell.seed;
+    EXPECT_TRUE(cell.perpetual) << "seed " << cell.seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // pef_run CLI routing (footer + per-seed rows + ISA tiers)
 
@@ -380,6 +412,15 @@ TEST(PefRunCli, SoloAndBatchRowsAreByteIdentical) {
   ASSERT_EQ(batch.size(), 16u);
   EXPECT_EQ(solo[0], batch[0]);
   EXPECT_EQ(solo[1], batch[1]);
+}
+
+TEST(PefRunCli, HorizonPastU32RunsOnSoloEngines) {
+  const std::string out = run_cli(pef_run_cmd(
+      "--nodes 16 --robots 3 --algorithm pef3+ --adversary static "
+      "--horizon 5000000000 --batch 64 --fast-forward"));
+  EXPECT_NE(out.find("engine=solo"), std::string::npos) << out;
+  EXPECT_NE(out.find("64/64 seeds cycled"), std::string::npos) << out;
+  EXPECT_EQ(table_rows(out).size(), 64u) << out;
 }
 
 TEST(PefRunCli, ThreadsAndIsaTiersKeepRowsIdentical) {

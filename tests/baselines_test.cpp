@@ -1,5 +1,7 @@
 // Tests for the baseline algorithms and the registry — including the
-// characteristic *failures* that motivate the paper's rules.
+// characteristic *failures* that motivate the paper's rules.  The
+// compute-level cases drive each virtual baseline and its kernel on the
+// same views (compute_twin.hpp).
 #include "algorithms/baselines.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include "adversary/adversary.hpp"
 #include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
+#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -37,8 +40,7 @@ TEST(RegistryDeathTest, UnknownNameAborts) {
 
 TEST(KeepDirectionTest, NeverChangesDirection) {
   const KeepDirection algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
+  ComputeTwin robot(algo);
   for (int ahead = 0; ahead < 2; ++ahead) {
     for (int behind = 0; behind < 2; ++behind) {
       for (int others = 0; others < 2; ++others) {
@@ -46,8 +48,7 @@ TEST(KeepDirectionTest, NeverChangesDirection) {
         v.exists_edge_ahead = ahead != 0;
         v.exists_edge_behind = behind != 0;
         v.other_robots_on_node = others != 0;
-        algo.compute(v, dir, *state);
-        EXPECT_EQ(dir, LocalDirection::kLeft);
+        EXPECT_EQ(robot.compute(v), LocalDirection::kLeft);
       }
     }
   }
@@ -75,16 +76,13 @@ TEST(KeepDirectionTest, ExploresStaticButNotEventualMissing) {
 
 TEST(BounceTest, TurnsOnlyWhenBlockedAndOtherSideOpen) {
   const BounceOnMissing algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
+  ComputeTwin robot(algo);
   View v;
   v.exists_edge_ahead = false;
   v.exists_edge_behind = false;
-  algo.compute(v, dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);  // nowhere to go: keep
+  EXPECT_EQ(robot.compute(v), LocalDirection::kLeft);  // nowhere to go: keep
   v.exists_edge_behind = true;
-  algo.compute(v, dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);  // bounce
+  EXPECT_EQ(robot.compute(v), LocalDirection::kRight);  // bounce
 }
 
 TEST(BounceTest, LivelocksAcrossEventualMissingEdgeWithOneRobot) {
@@ -103,19 +101,15 @@ TEST(BounceTest, LivelocksAcrossEventualMissingEdgeWithOneRobot) {
 
 TEST(RandomWalkTest, PerRobotStreamsDiffer) {
   const RandomWalk algo(42);
-  auto s0 = algo.make_state(0);
-  auto s1 = algo.make_state(1);
+  ComputeTwin robot0(algo, 0);
+  ComputeTwin robot1(algo, 1);
   // Feed both the same views; their decisions must diverge eventually.
-  LocalDirection d0 = LocalDirection::kLeft;
-  LocalDirection d1 = LocalDirection::kLeft;
   View v;
   v.exists_edge_ahead = true;
   v.exists_edge_behind = true;
   bool diverged = false;
   for (int i = 0; i < 64 && !diverged; ++i) {
-    algo.compute(v, d0, *s0);
-    algo.compute(v, d1, *s1);
-    diverged = d0 != d1;
+    diverged = robot0.compute(v) != robot1.compute(v);
   }
   EXPECT_TRUE(diverged);
 }
@@ -131,19 +125,14 @@ TEST(RandomWalkTest, EventuallyCoversStaticRing) {
 
 TEST(OscillatingTest, TurnsEveryPeriod) {
   const Oscillating algo(3);
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
+  ComputeTwin robot(algo);
   View v;
   v.exists_edge_ahead = true;
   v.exists_edge_behind = true;
-  algo.compute(v, dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
-  algo.compute(v, dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
-  algo.compute(v, dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);  // 3rd call turns
-  algo.compute(v, dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(v), LocalDirection::kLeft);
+  EXPECT_EQ(robot.compute(v), LocalDirection::kLeft);
+  EXPECT_EQ(robot.compute(v), LocalDirection::kRight);  // 3rd call turns
+  EXPECT_EQ(robot.compute(v), LocalDirection::kRight);
 }
 
 TEST(OscillatingTest, PatrolsOnlyASegmentOfBigRings) {

@@ -6,6 +6,7 @@
 
 #include "adversary/adversary.hpp"
 #include "analysis/coverage.hpp"
+#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -20,30 +21,25 @@ View make_view(bool ahead, bool behind) {
   return v;
 }
 
+// Each case drives the virtual Pef1 and its kernel on the same views.
+
 TEST(Pef1ComputeTest, PointsToPresentEdge) {
   const Pef1 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(false, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(false, true)), LocalDirection::kRight);
 }
 
 TEST(Pef1ComputeTest, KeepsPointedPresentEdge) {
   const Pef1 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(true, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
-  algo.compute(make_view(true, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(true, true)), LocalDirection::kLeft);
+  EXPECT_EQ(robot.compute(make_view(true, false)), LocalDirection::kLeft);
 }
 
 TEST(Pef1ComputeTest, KeepsDirectionWhenNothingPresent) {
   const Pef1 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kRight;
-  algo.compute(make_view(false, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  ComputeTwin robot(algo, 0, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(false, false)), LocalDirection::kRight);
 }
 
 // --- Behavioural tests (Theorem 5.2) --------------------------------------

@@ -6,6 +6,7 @@
 
 #include "adversary/adversary.hpp"
 #include "analysis/coverage.hpp"
+#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -20,42 +21,40 @@ View make_view(bool ahead, bool behind, bool others) {
   return v;
 }
 
+// Each case drives the virtual Pef2 and its kernel on the same views.
+
 TEST(Pef2ComputeTest, PointsToUniquePresentEdge) {
   const Pef2 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
+  ComputeTwin robot(algo);
   // Only the behind edge present and isolated -> turn to it.
-  algo.compute(make_view(false, true, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(false, true, false)),
+            LocalDirection::kRight);
   // Only the (new) ahead edge present -> keep.
-  algo.compute(make_view(true, false, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(true, false, false)),
+            LocalDirection::kRight);
 }
 
 TEST(Pef2ComputeTest, KeepsDirectionWhenBothPresent) {
   const Pef2 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(true, true, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(true, true, false)),
+            LocalDirection::kLeft);
 }
 
 TEST(Pef2ComputeTest, KeepsDirectionWhenNonePresent) {
   const Pef2 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(false, false, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(false, false, false)),
+            LocalDirection::kLeft);
 }
 
 TEST(Pef2ComputeTest, KeepsDirectionInTower) {
   // "or the other robot is present on the same node" -> keep direction,
   // even with a unique present edge behind.
   const Pef2 algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(false, true, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(false, true, true)),
+            LocalDirection::kLeft);
 }
 
 // --- Behavioural tests (Theorem 4.2) --------------------------------------

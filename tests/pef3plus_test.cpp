@@ -1,14 +1,17 @@
-// Tests for PEF_3+ (Algorithm 1): compute-phase semantics, the three rules,
-// and the behaviours proved in Section 3 (sentinel formation, tower lemmas,
+// Tests for PEF_3+ (Algorithm 1): compute-phase semantics, the three rules
+// (plus the rule-level behaviour of the no-rule2 / no-rule3 ablations), and
+// the behaviours proved in Section 3 (sentinel formation, tower lemmas,
 // perpetual exploration).
 #include "algorithms/pef3plus.hpp"
 
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
+#include "algorithms/ablations.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/sentinels.hpp"
 #include "analysis/towers.hpp"
+#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -23,53 +26,114 @@ View make_view(bool ahead, bool behind, bool others) {
   return v;
 }
 
+// Each compute case drives the virtual algorithm and its kernel on the same
+// views; has_moved() reads the twin's HasMovedPreviousStep from both forms.
+
+bool has_moved(const ComputeTwin& robot) {
+  const bool virtual_flag =
+      static_cast<const Pef3PlusState&>(robot.state()).has_moved_previous_step;
+  EXPECT_EQ(robot.kernel_state().has_moved != 0, virtual_flag);
+  return virtual_flag;
+}
+
 TEST(Pef3PlusComputeTest, Rule1KeepsDirectionWhenAlone) {
   const Pef3Plus algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(true, true, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(true, true, false)),
+            LocalDirection::kLeft);
+  EXPECT_TRUE(has_moved(robot));
 }
 
 TEST(Pef3PlusComputeTest, Rule2SentinelKeepsDirection) {
   // Did NOT move last round (edge was absent), now in a tower: keep dir.
   const Pef3Plus algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
+  ComputeTwin robot(algo);
   // Round 1: alone, pointed edge absent -> has_moved becomes false.
-  algo.compute(make_view(false, true, false), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  EXPECT_EQ(robot.compute(make_view(false, true, false)),
+            LocalDirection::kLeft);
+  EXPECT_FALSE(has_moved(robot));
   // Round 2: tower formed by an arriving robot: Rule 2 keeps direction.
-  algo.compute(make_view(false, true, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kLeft);
+  EXPECT_EQ(robot.compute(make_view(false, true, true)),
+            LocalDirection::kLeft);
 }
 
 TEST(Pef3PlusComputeTest, Rule3ArrivingRobotTurnsBack) {
   const Pef3Plus algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
+  ComputeTwin robot(algo);
   // Round 1: alone, pointed edge present -> moves (has_moved = true).
-  algo.compute(make_view(true, true, false), dir, *state);
+  robot.compute(make_view(true, true, false));
   // Round 2: lands on a tower: Rule 3 turns it back.
-  algo.compute(make_view(true, true, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(true, true, true)),
+            LocalDirection::kRight);
 }
 
 TEST(Pef3PlusComputeTest, HasMovedTracksUpdatedDirection) {
   // After the Rule 3 flip, line 4 evaluates ExistsEdge against the *new*
   // direction.
   const Pef3Plus algo;
-  auto state = algo.make_state(0);
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(true, true, false), dir, *state);  // moved
+  ComputeTwin robot(algo);
+  robot.compute(make_view(true, true, false));  // moved
   // Tower; ahead (old dir) present, behind (new dir) absent: flips, then
   // records that it will NOT move.
-  algo.compute(make_view(true, false, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(true, false, true)),
+            LocalDirection::kRight);
+  EXPECT_FALSE(has_moved(robot));
   // Next round, a tower again: has_moved_previous_step == false -> Rule 2
   // applies, direction kept even though in a tower.
-  algo.compute(make_view(true, true, true), dir, *state);
-  EXPECT_EQ(dir, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(true, true, true)),
+            LocalDirection::kRight);
+}
+
+// The ablations (algorithms/ablations.hpp) at the rule level.
+
+TEST(Pef3PlusNoRule2ComputeTest, SentinelTurnsBackWithoutTheHasMovedGuard) {
+  // The Rule 2 scenario above: a robot that did NOT move sees a tower.
+  // Without the guard it abandons its post.
+  const Pef3PlusNoRule2 algo;
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(false, true, false)),
+            LocalDirection::kLeft);
+  EXPECT_FALSE(has_moved(robot));
+  EXPECT_EQ(robot.compute(make_view(false, true, true)),
+            LocalDirection::kRight);
+  // HasMoved is evaluated against the new direction (behind was present).
+  EXPECT_TRUE(has_moved(robot));
+}
+
+TEST(Pef3PlusNoRule2ComputeTest, KeepsDirectionWhenAloneAndTurnsOnArrival) {
+  const Pef3PlusNoRule2 algo;
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(true, false, false)),
+            LocalDirection::kLeft);
+  EXPECT_TRUE(has_moved(robot));
+  // Arriving onto a tower turns back, exactly like Rule 3.
+  EXPECT_EQ(robot.compute(make_view(true, false, true)),
+            LocalDirection::kRight);
+  EXPECT_FALSE(has_moved(robot));
+}
+
+TEST(Pef3PlusNoRule3ComputeTest, NeverTurnsEvenWhenArrivingOnATower) {
+  // The Rule 3 scenario above: a robot that moved lands on a tower.  With
+  // Rule 3 dropped it keeps going.
+  const Pef3PlusNoRule3 algo;
+  ComputeTwin robot(algo);
+  EXPECT_EQ(robot.compute(make_view(true, true, false)),
+            LocalDirection::kLeft);
+  EXPECT_TRUE(has_moved(robot));
+  EXPECT_EQ(robot.compute(make_view(true, false, true)),
+            LocalDirection::kLeft);
+  EXPECT_TRUE(has_moved(robot));
+}
+
+TEST(Pef3PlusNoRule3ComputeTest, HasMovedTracksThePointedEdge) {
+  const Pef3PlusNoRule3 algo;
+  ComputeTwin robot(algo, 0, LocalDirection::kRight);
+  EXPECT_EQ(robot.compute(make_view(false, true, true)),
+            LocalDirection::kRight);
+  EXPECT_FALSE(has_moved(robot));
+  EXPECT_EQ(robot.compute(make_view(true, false, false)),
+            LocalDirection::kRight);
+  EXPECT_TRUE(has_moved(robot));
 }
 
 TEST(Pef3PlusComputeTest, StateToStringIsReadable) {

@@ -17,6 +17,7 @@
 
 #include "common/json.hpp"
 #include "core/spec.hpp"
+#include "engine/sweep_runner.hpp"
 #include "orchestrator/ledger.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
@@ -316,6 +317,36 @@ TEST(ServeEndToEndTest, SubmitComputesThenIdenticalSubmitIsCacheHit) {
   // The hit cost zero engine rounds: only the first submit computed its
   // 1 algo x 1 adversary x 1 model x 1 n x 1 k x 2 seeds = 2 cells.
   EXPECT_EQ(stats.cells_computed, 2u);
+}
+
+// A spec whose horizon outgrows BatchEngine's u32 visit cells validates, so
+// the daemon must run it (on solo Engines) rather than abort mid-job.
+TEST(ServeEndToEndTest, HorizonPastU32IsServedNotFatal) {
+  TestServer daemon(base_options("bighorizon"));
+  ASSERT_TRUE(daemon.started);
+
+  std::string seeds;
+  for (int seed = 1; seed <= 32; ++seed) {
+    seeds += (seed > 1 ? "," : "") + std::to_string(seed);
+  }
+  const std::string text =
+      R"({"algorithms":["pef3+"],)"
+      R"("adversaries":[{"kind":"static","params":{}}],)"
+      R"("ring_sizes":[16],"robot_counts":[3],"seeds":[)" +
+      seeds + R"(],"horizon":5000000000,"batch_seeds":true,)"
+      R"("fast_forward":true})";
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(daemon.server.socket_path(), 5, &error))
+      << error;
+  const auto result =
+      client.submit_and_stream(text, nullptr, nullptr, nullptr, &error);
+  ASSERT_TRUE(result.has_value()) << error;
+
+  auto spec = parse_sweep_spec(text, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  spec->batch_seeds = false;
+  EXPECT_EQ(*result, SweepRunner(1).run(*spec).to_json());
 }
 
 TEST(ServeEndToEndTest, DisconnectMidStreamStillLandsInCache) {

@@ -1,13 +1,12 @@
-// Differential tests for the unified Engine's new axes:
+// Differential tests pinning the unified Engine (which runs every
+// algorithm's devirtualized kernel) to the reference simulators (which run
+// the virtual Algorithm twins):
 //
-//   * kernel dispatch: every registry algorithm's devirtualized kernel must
-//     be bit-identical to its virtual twin, across adversary families and
-//     seeds (the FSYNC virtual path itself is pinned to Simulator in
-//     fast_engine_test.cpp);
+//   * FSYNC: every registry algorithm must reproduce Simulator round by
+//     round across adversary families and seeds;
 //   * SSYNC / ASYNC models: the Engine must reproduce the reference
-//     SsyncSimulator / AsyncSimulator round-by-round, for both dispatch
-//     paths, across activation policies / phase schedulers, adversaries and
-//     seeds.
+//     SsyncSimulator / AsyncSimulator round-by-round, across activation
+//     policies / phase schedulers, adversaries and seeds.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -61,7 +60,7 @@ std::vector<RobotPlacement> placements_for(std::uint32_t k,
 }
 
 // ---------------------------------------------------------------------------
-// Kernel dispatch vs virtual twin (FSYNC).
+// FSYNC: unified Engine vs Simulator.
 
 struct FsyncAdversaryFamily {
   const char* name;
@@ -91,13 +90,13 @@ const FsyncAdversaryFamily kFsyncFamilies[] = {
      }},
 };
 
-TEST(KernelDispatchTest, EveryRegistryAlgorithmHasAKernel) {
+TEST(KernelEngineTest, EveryRegistryKernelNamesItsAlgorithm) {
   for (const std::string& name : algorithm_names()) {
-    EXPECT_TRUE(make_algorithm(name, 1)->kernel().has_value()) << name;
+    EXPECT_EQ(to_string(make_algorithm(name, 1)->kernel().id), name);
   }
 }
 
-TEST(KernelDispatchTest, KernelMatchesVirtualAcrossRegistryAndAdversaries) {
+TEST(KernelEngineTest, MatchesSimulatorAcrossRegistryAndAdversaries) {
   for (const std::string& algorithm : algorithm_names()) {
     for (const FsyncAdversaryFamily& family : kFsyncFamilies) {
       for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -106,27 +105,20 @@ TEST(KernelDispatchTest, KernelMatchesVirtualAcrossRegistryAndAdversaries) {
         const Ring ring(kNodes);
         const auto placements = placements_for(kRobots, seed);
 
-        EngineOptions virtual_options;
-        virtual_options.record_trace = true;
-        virtual_options.dispatch = ComputeDispatch::kVirtual;
-        Engine virtual_engine(ring, make_algorithm(algorithm, seed),
-                              family.make(ring, seed), placements,
-                              virtual_options);
+        Simulator reference(ring, make_algorithm(algorithm, seed),
+                            family.make(ring, seed), placements);
 
-        EngineOptions kernel_options;
-        kernel_options.record_trace = true;
-        kernel_options.dispatch = ComputeDispatch::kKernel;
-        Engine kernel_engine(ring, make_algorithm(algorithm, seed),
-                             family.make(ring, seed), placements,
-                             kernel_options);
-        EXPECT_FALSE(virtual_engine.kernel_dispatch());
-        EXPECT_TRUE(kernel_engine.kernel_dispatch());
+        EngineOptions options;
+        options.record_trace = true;
+        Engine engine(ring, make_algorithm(algorithm, seed),
+                      family.make(ring, seed), placements, options);
 
-        virtual_engine.run(kRounds);
-        kernel_engine.run(kRounds);
+        reference.run(kRounds);
+        engine.run(kRounds);
+        ASSERT_EQ(engine.trace().rounds().size(), kRounds);
         for (Time t = 0; t < kRounds; ++t) {
-          expect_same_round(kernel_engine.trace().rounds()[t],
-                            virtual_engine.trace().rounds()[t], t);
+          expect_same_round(engine.trace().rounds()[t],
+                            reference.trace().rounds()[t], t);
         }
       }
     }
@@ -183,28 +175,18 @@ TEST(UnifiedSsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
                                  scenario.make_adversary(ring, seed),
                                  scenario.make_activation(seed), placements);
 
-        for (const ComputeDispatch dispatch :
-             {ComputeDispatch::kKernel, ComputeDispatch::kVirtual}) {
-          SCOPED_TRACE(std::string("dispatch ") + to_string(dispatch));
-          EngineOptions options;
-          options.record_trace = true;
-          options.dispatch = dispatch;
-          Engine engine(ring, make_algorithm(algorithm, seed),
-                        scenario.make_adversary(ring, seed),
-                        scenario.make_activation(seed), placements, options);
-          EXPECT_EQ(engine.model(), ExecutionModel::kSsync);
-          engine.run(kRounds);
-          ASSERT_EQ(engine.trace().rounds().size(), kRounds);
-          // Fresh reference per dispatch would repeat work; instead replay
-          // the one reference lazily on the first dispatch and compare the
-          // second against the recorded trace.
-          if (reference.now() == 0) {
-            for (Time t = 0; t < kRounds; ++t) reference.step();
-          }
-          for (Time t = 0; t < kRounds; ++t) {
-            expect_same_round(engine.trace().rounds()[t],
-                              reference.trace().rounds()[t], t);
-          }
+        EngineOptions options;
+        options.record_trace = true;
+        Engine engine(ring, make_algorithm(algorithm, seed),
+                      scenario.make_adversary(ring, seed),
+                      scenario.make_activation(seed), placements, options);
+        EXPECT_EQ(engine.model(), ExecutionModel::kSsync);
+        engine.run(kRounds);
+        for (Time t = 0; t < kRounds; ++t) reference.step();
+        ASSERT_EQ(engine.trace().rounds().size(), kRounds);
+        for (Time t = 0; t < kRounds; ++t) {
+          expect_same_round(engine.trace().rounds()[t],
+                            reference.trace().rounds()[t], t);
         }
       }
     }
@@ -260,30 +242,24 @@ TEST(UnifiedAsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
                                  scenario.make_adversary(ring, seed),
                                  scenario.make_phases(seed), placements);
 
-        for (const ComputeDispatch dispatch :
-             {ComputeDispatch::kKernel, ComputeDispatch::kVirtual}) {
-          SCOPED_TRACE(std::string("dispatch ") + to_string(dispatch));
-          EngineOptions options;
-          options.record_trace = true;
-          options.dispatch = dispatch;
-          Engine engine(ring, make_algorithm(algorithm, seed),
-                        scenario.make_adversary(ring, seed),
-                        scenario.make_phases(seed), placements, options);
-          EXPECT_EQ(engine.model(), ExecutionModel::kAsync);
-          engine.run(kRounds);
-          if (reference.now() == 0) {
-            for (Time t = 0; t < kRounds; ++t) reference.step();
-          }
-          for (Time t = 0; t < kRounds; ++t) {
-            expect_same_round(engine.trace().rounds()[t],
-                              reference.trace().rounds()[t], t);
-          }
-          // Final phase machines agree for every robot (per-tick phase
-          // agreement is implied by the round records: each advancing
-          // robot's record shows which phase fired).
-          for (RobotId r = 0; r < kRobots; ++r) {
-            ASSERT_EQ(engine.phase_of(r), reference.phase_of(r)) << r;
-          }
+        EngineOptions options;
+        options.record_trace = true;
+        Engine engine(ring, make_algorithm(algorithm, seed),
+                      scenario.make_adversary(ring, seed),
+                      scenario.make_phases(seed), placements, options);
+        EXPECT_EQ(engine.model(), ExecutionModel::kAsync);
+        engine.run(kRounds);
+        for (Time t = 0; t < kRounds; ++t) reference.step();
+        ASSERT_EQ(engine.trace().rounds().size(), kRounds);
+        for (Time t = 0; t < kRounds; ++t) {
+          expect_same_round(engine.trace().rounds()[t],
+                            reference.trace().rounds()[t], t);
+        }
+        // Final phase machines agree for every robot (per-tick phase
+        // agreement is implied by the round records: each advancing
+        // robot's record shows which phase fired).
+        for (RobotId r = 0; r < kRobots; ++r) {
+          ASSERT_EQ(engine.phase_of(r), reference.phase_of(r)) << r;
         }
       }
     }

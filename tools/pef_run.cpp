@@ -14,10 +14,10 @@
 //
 // The execution model is a flag: --model fsync|ssync|async selects the
 // activation model (SSYNC/ASYNC run under seeded Bernoulli activation /
-// phase scheduling, the adversary adapted through SsyncFromFsyncAdversary),
-// and --engine fast|reference picks the unified Engine or the matching
-// reference engine (Simulator / SsyncSimulator / AsyncSimulator) — the two
-// are differentially tested to byte-identical traces for every model.
+// phase scheduling, the adversary adapted through SsyncFromFsyncAdversary).
+// Every run executes on the unified Engine (or, for --batch, on solo
+// Engines or one BatchEngine), which differential tests pin to the
+// reference simulators' traces for every model.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -38,9 +38,6 @@
 #include "dynamic_graph/properties.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
-#include "scheduler/async.hpp"
-#include "scheduler/simulator.hpp"
-#include "scheduler/ssync.hpp"
 
 namespace pef {
 namespace {
@@ -88,9 +85,9 @@ void print_help(const char* program) {
       << "                   BatchEngine; the footer reports which\n"
       << "                   (engine=solo|batch).  \"auto\" picks the\n"
       << "                   calibrated preferred width for the scenario.\n"
+      << "                   Horizons past 2^32-2 always run solo.\n"
       << "                   Omit the flag for the single traced run below\n"
-      << "                   (incompatible with --render and\n"
-      << "                   --engine reference)\n"
+      << "                   (incompatible with --render)\n"
       << "  --fast-forward   detect per-seed periodicity and extrapolate\n"
       << "                   the remaining rounds in closed form\n"
       << "                   (Monte-Carlo mode only; engages on eligible\n"
@@ -101,11 +98,6 @@ void print_help(const char* program) {
       << "  --model M        fsync | ssync | async (default fsync; ssync\n"
       << "                   and async use seeded Bernoulli activation /\n"
       << "                   phase scheduling, see --activation-p)\n"
-      << "  --engine E       fast | reference (default fast; identical\n"
-      << "                   results, the reference engines are the\n"
-      << "                   canonical implementations)\n"
-      << "  --dispatch D     auto | kernel | virtual (default auto;\n"
-      << "                   Compute path of the fast engine)\n"
       << "  --activation-p X per-robot activation / phase-advance\n"
       << "                   probability for ssync / async (default 0.5)\n"
       << "  --seed S         RNG seed (default 1)\n"
@@ -163,8 +155,6 @@ int main(int argc, char** argv) {
   const auto threads = args.get_u32("--threads", 1);
   const auto model_name =
       args.get_string("--model", to_string(spec.model));
-  const auto engine_name = args.get_string("--engine", "fast");
-  const auto dispatch_name = args.get_string("--dispatch", "auto");
   const bool activation_p_given = args.has("--activation-p");
   const auto activation_p =
       args.get_double("--activation-p", spec.activation_p);
@@ -189,24 +179,6 @@ int main(int argc, char** argv) {
     std::cerr << "--topology must be ring or chain\n";
     return 2;
   }
-  if (engine_name != "fast" && engine_name != "reference") {
-    std::cerr << "--engine must be fast or reference\n";
-    return 2;
-  }
-  ComputeDispatch dispatch = ComputeDispatch::kAuto;
-  if (dispatch_name == "kernel") {
-    dispatch = ComputeDispatch::kKernel;
-  } else if (dispatch_name == "virtual") {
-    dispatch = ComputeDispatch::kVirtual;
-  } else if (dispatch_name != "auto") {
-    std::cerr << "--dispatch must be auto, kernel or virtual\n";
-    return 2;
-  }
-  if (engine_name == "reference" && dispatch != ComputeDispatch::kAuto) {
-    std::cerr << "--dispatch applies only to --engine fast (the reference "
-                 "engines always run the virtual Algorithm path)\n";
-    return 2;
-  }
   if (activation_p_given && *model == ExecutionModel::kFsync) {
     std::cerr << "--activation-p applies only to --model ssync|async (FSYNC "
                  "activates every robot every round)\n";
@@ -227,14 +199,6 @@ int main(int argc, char** argv) {
       }
       batch = static_cast<std::uint32_t>(value);
     }
-  }
-  if (batch_given && engine_name != "fast") {
-    std::cerr << "--batch runs on the fast engine only\n";
-    return 2;
-  }
-  if (batch_given && dispatch == ComputeDispatch::kVirtual) {
-    std::cerr << "--batch runs the devirtualized kernel path only\n";
-    return 2;
   }
   if (batch_given && render) {
     std::cerr << "--render needs a single traced run (drop --batch)\n";
@@ -303,10 +267,13 @@ int main(int argc, char** argv) {
     // Monte-Carlo mode.  The engine is chosen by the calibrated break-even
     // model: narrow seed counts run solo Engines (the batch's plane setup
     // and per-round passes only amortize past the break-even width), wide
-    // ones run ONE BatchEngine advancing all seeds in lock-step.  Either
-    // way the per-seed results are bit-identical (differentially tested).
+    // ones run ONE BatchEngine advancing all seeds in lock-step, unless
+    // the horizon outgrows the batch's u32 visit cells.  Either way the
+    // per-seed results are bit-identical (differentially tested).
     if (batch_auto) batch = preferred_batch_width(*model, nodes, robots);
-    const BatchPlan plan = plan_batch(*model, nodes, robots, batch, batch);
+    const BatchPlan plan = horizon <= kMaxBatchHorizon
+                               ? plan_batch(*model, nodes, robots, batch, batch)
+                               : BatchPlan{};
 
     std::vector<EngineStats> seed_stats(batch);
     std::vector<CoverageReport> seed_coverage(batch);
@@ -340,35 +307,15 @@ int main(int argc, char** argv) {
       for (std::uint32_t b = 0; b < batch; ++b) {
         const std::uint64_t s = seed + b;
         EngineOptions options;
-        options.dispatch = dispatch;
         options.fast_forward.enabled = fast_forward;
-        std::optional<Engine> solo;
-        switch (*model) {
-          case ExecutionModel::kFsync:
-            solo.emplace(ring, make_algorithm(algorithm, s),
-                         make_adversary(s), spread_placements(ring, robots),
-                         options);
-            break;
-          case ExecutionModel::kSsync:
-            solo.emplace(ring, make_algorithm(algorithm, s),
-                         std::make_unique<SsyncFromFsyncAdversary>(
-                             make_adversary(s)),
-                         standard_ssync_activation(activation_p, s),
-                         spread_placements(ring, robots), options);
-            break;
-          case ExecutionModel::kAsync:
-            solo.emplace(ring, make_algorithm(algorithm, s),
-                         std::make_unique<SsyncFromFsyncAdversary>(
-                             make_adversary(s)),
-                         standard_async_phases(activation_p, s),
-                         spread_placements(ring, robots), options);
-            break;
-        }
-        solo->run(horizon);
-        seed_stats[b] = solo->stats();
-        seed_coverage[b] = solo->coverage_report();
-        if (solo->fast_forwarded()) {
-          seed_simulated[b] = solo->rounds_simulated();
+        Engine solo = make_standard_engine(
+            ring, *model, make_algorithm(algorithm, s), make_adversary(s),
+            activation_p, s, spread_placements(ring, robots), options);
+        solo.run(horizon);
+        seed_stats[b] = solo.stats();
+        seed_coverage[b] = solo.coverage_report();
+        if (solo.fast_forwarded()) {
+          seed_simulated[b] = solo.rounds_simulated();
         }
       }
     }
@@ -431,80 +378,18 @@ int main(int argc, char** argv) {
     return all_perpetual ? 0 : 1;
   }
 
-  std::optional<Engine> engine;
-  std::optional<Simulator> sim;
-  std::optional<SsyncSimulator> ssync_sim;
-  std::optional<AsyncSimulator> async_sim;
-  const Trace* trace_ptr = nullptr;
-
-  // The shared standard policies guarantee fast and reference runs of the
-  // same (model, seed) see identical activation streams.
-  const auto make_activation = [&] {
-    return standard_ssync_activation(activation_p, seed);
-  };
-  const auto make_phases = [&] {
-    return standard_async_phases(activation_p, seed);
-  };
-  const auto make_ssync_adversary = [&] {
-    return std::make_unique<SsyncFromFsyncAdversary>(
-        make_adversary(seed));
-  };
-
-  if (engine_name == "fast") {
-    EngineOptions options;
-    options.record_trace = true;  // the report below is all trace analysis
-    options.dispatch = dispatch;
-    switch (*model) {
-      case ExecutionModel::kFsync:
-        engine.emplace(ring, make_algorithm(algorithm, seed),
-                       make_adversary(seed),
-                       spread_placements(ring, robots), options);
-        break;
-      case ExecutionModel::kSsync:
-        engine.emplace(ring, make_algorithm(algorithm, seed),
-                       make_ssync_adversary(), make_activation(),
-                       spread_placements(ring, robots), options);
-        break;
-      case ExecutionModel::kAsync:
-        engine.emplace(ring, make_algorithm(algorithm, seed),
-                       make_ssync_adversary(), make_phases(),
-                       spread_placements(ring, robots), options);
-        break;
-    }
-    engine->run(horizon);
-    trace_ptr = &engine->trace();
-  } else {
-    switch (*model) {
-      case ExecutionModel::kFsync:
-        sim.emplace(ring, make_algorithm(algorithm, seed),
-                    make_adversary(seed),
-                    spread_placements(ring, robots));
-        sim->run(horizon);
-        trace_ptr = &sim->trace();
-        break;
-      case ExecutionModel::kSsync:
-        ssync_sim.emplace(ring, make_algorithm(algorithm, seed),
-                          make_ssync_adversary(), make_activation(),
-                          spread_placements(ring, robots));
-        ssync_sim->run(horizon);
-        trace_ptr = &ssync_sim->trace();
-        break;
-      case ExecutionModel::kAsync:
-        async_sim.emplace(ring, make_algorithm(algorithm, seed),
-                          make_ssync_adversary(), make_phases(),
-                          spread_placements(ring, robots));
-        async_sim->run(horizon);
-        trace_ptr = &async_sim->trace();
-        break;
-    }
-  }
-  const Trace& trace = *trace_ptr;
+  EngineOptions options;
+  options.record_trace = true;  // the report below is all trace analysis
+  Engine engine = make_standard_engine(
+      ring, *model, make_algorithm(algorithm, seed), make_adversary(seed),
+      activation_p, seed, spread_placements(ring, robots), options);
+  engine.run(horizon);
+  const Trace& trace = engine.trace();
 
   std::cout << "pef_run: n=" << nodes << " k=" << robots << " algorithm="
             << algorithm << " adversary=" << adversary_name
             << " horizon=" << horizon << " seed=" << seed
-            << " model=" << to_string(*model) << " engine=" << engine_name
-            << "\n"
+            << " model=" << to_string(*model) << "\n"
             << "TABLE 1 prediction: "
             << computability::to_string(
                    computability::classify(robots, nodes))
