@@ -6,61 +6,10 @@
 
 namespace pef {
 
-AdversarySpec spec_from_config(const AdversaryConfig& config,
-                               std::uint32_t robots) {
-  return {adversary_display_name(config),
-          [config, robots](Ring ring, std::uint64_t seed) {
-            return adversary_from_config(config, ring, seed, robots);
-          }};
-}
-
-AdversarySpec static_spec() {
-  return spec_from_config(adversary_config(AdversaryKind::kStatic));
-}
-
-AdversarySpec bernoulli_spec(double p) {
-  return spec_from_config(
-      adversary_config(AdversaryKind::kBernoulli, {{"p", p}}));
-}
-
-AdversarySpec periodic_spec(std::uint32_t period, std::uint32_t duty) {
-  return spec_from_config(adversary_config(
-      AdversaryKind::kPeriodic, {{"period", static_cast<double>(period)},
-                                 {"duty", static_cast<double>(duty)}}));
-}
-
-AdversarySpec t_interval_spec(Time interval) {
-  return spec_from_config(adversary_config(
-      AdversaryKind::kTInterval,
-      {{"interval", static_cast<double>(interval)}}));
-}
-
-AdversarySpec bounded_absence_spec(Time max_absence) {
-  return spec_from_config(adversary_config(
-      AdversaryKind::kBoundedAbsence,
-      {{"max_absence", static_cast<double>(max_absence)}}));
-}
-
-AdversarySpec eventual_missing_spec() {
-  return spec_from_config(adversary_config(AdversaryKind::kEventualMissing));
-}
-
-AdversarySpec adaptive_missing_spec() {
-  return spec_from_config(adversary_config(AdversaryKind::kAdaptiveMissing));
-}
-
-std::vector<AdversarySpec> standard_battery() {
-  std::vector<AdversarySpec> battery;
-  for (const AdversaryConfig& config : standard_battery_configs()) {
-    battery.push_back(spec_from_config(config));
-  }
-  return battery;
-}
-
 namespace {
 
 /// Everything below the engine run: the full per-trace analysis shared by
-/// run_experiment and the batched run_battery path.
+/// run_experiment and run_battery.
 RunResult analyze_run(const Ring& ring, const Trace& trace,
                       const ExperimentConfig& config, std::uint64_t seed) {
   RunResult result;
@@ -134,58 +83,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
   return analyze_run(ring, engine.trace(), config, config.seed);
 }
 
-std::vector<RunResult> run_battery(ExperimentConfig config,
-                                   std::uint64_t first_seed,
-                                   std::uint32_t seeds) {
-  std::vector<RunResult> results;
-  results.reserve(seeds);
-
-  // Batched fast path: the battery is B runs of one scenario with
-  // different seeds — BatchEngine's shape — so run them as one traced
-  // replica batch and analyse each replica's trace.  Traces (and therefore
-  // every analysis) are bit-identical to the sequential path, which a
-  // single seed or a horizon past the batch's u32 time cells takes.
-  if (seeds > 1 && config.horizon <= kMaxBatchHorizon) {
-    PEF_CHECK(config.algorithm != nullptr);
-    PEF_CHECK(config.robots >= 1);
-    PEF_CHECK(config.nodes >= 2);
-    PEF_CHECK(config.horizon >= 1);
-    const Ring ring(config.nodes);
-    const std::vector<RobotPlacement> placements =
-        spread_placements(ring, config.robots);
-
-    std::vector<BatchReplica> replicas(seeds);
-    for (std::uint32_t s = 0; s < seeds; ++s) {
-      const std::uint64_t seed = first_seed + s;
-      BatchReplica& replica = replicas[s];
-      replica.algorithm = config.algorithm;
-      replica.placements = placements;
-      replica.horizon = config.horizon;
-      wire_standard_replica(
-          replica, config.model,
-          adversary_from_config(config.adversary, ring, seed, config.robots,
-                                config.topology),
-          config.activation_p, seed);
-    }
-
-    BatchEngineOptions options;
-    options.record_trace = true;  // the analyses are all trace-based
-    BatchEngine engine(ring, config.model, std::move(replicas), options);
-    engine.run_all();
-    for (std::uint32_t s = 0; s < seeds; ++s) {
-      results.push_back(
-          analyze_run(ring, engine.trace(s), config, first_seed + s));
-    }
-    return results;
-  }
-
-  for (std::uint32_t s = 0; s < seeds; ++s) {
-    config.seed = first_seed + s;
-    results.push_back(run_experiment(config));
-  }
-  return results;
-}
-
 ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
   const auto invalid = spec.validate();
   PEF_CHECK_MSG(!invalid.has_value(), "invalid scenario spec");
@@ -209,7 +106,31 @@ RunResult run_scenario(const ScenarioSpec& spec) {
 std::vector<RunResult> run_battery(const ScenarioSpec& spec,
                                    std::uint64_t first_seed,
                                    std::uint32_t seeds) {
-  return run_battery(to_experiment_config(spec), first_seed, seeds);
+  const ExperimentConfig config = to_experiment_config(spec);
+  const std::string algorithm = resolved_algorithm(spec);
+  const Ring ring(spec.nodes);
+  std::vector<RunResult> results;
+  results.reserve(seeds);
+  run_seed_group(
+      {.ring = ring,
+       .robots = spec.robots,
+       .model = spec.model,
+       .horizon = spec.horizon,
+       .activation_p = spec.activation_p,
+       .seeds = seeds,
+       .record_trace = true},  // the analyses are all trace-based
+      [&](std::uint64_t s) {
+        const std::uint64_t seed = first_seed + s;
+        return SeedRun{seed, make_algorithm(algorithm, seed),
+                       adversary_from_config(spec.adversary, ring, seed,
+                                             spec.robots, spec.topology),
+                       spread_placements(ring, spec.robots)};
+      },
+      [&](std::uint64_t s, const SeedResult& result) {
+        results.push_back(
+            analyze_run(ring, *result.trace, config, first_seed + s));
+      });
+  return results;
 }
 
 }  // namespace pef

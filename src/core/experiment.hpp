@@ -5,12 +5,12 @@
 // Scenarios are described by the data-only ScenarioSpec (core/spec.hpp);
 // run_scenario() executes one.  ExperimentConfig remains as the thin
 // programmatic adapter underneath (it holds a live AlgorithmPtr, which a
-// serializable spec cannot).  Every run executes on the unified Engine with
-// trace recording on, so the whole trace analysis suite applies.
+// serializable spec cannot).  Every run records a trace (on an Engine, or a
+// BatchEngine for a wide run_battery), so the whole trace analysis suite
+// applies.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,38 +26,6 @@
 
 namespace pef {
 
-/// A named, seedable adversary family.  `make(ring, seed)` builds a fresh
-/// adversary instance for one run.  This is the *runtime* adapter around an
-/// AdversaryConfig — engine-level tests that need a bare factory use it;
-/// everything data-shaped carries the config instead.
-struct AdversarySpec {
-  std::string name;
-  std::function<AdversaryPtr(Ring, std::uint64_t)> make;
-};
-
-/// Adapt a config to a callable spec.  `robots` feeds cage/proof auto
-/// width (see adversary_from_config).
-[[nodiscard]] AdversarySpec spec_from_config(const AdversaryConfig& config,
-                                             std::uint32_t robots = 0);
-
-/// The standard adversary battery used by possibility benches: static,
-/// Bernoulli p in {0.1, 0.5, 0.9}, rotating periodic, T-interval-connected,
-/// bounded-absence, eventual-missing-edge, adaptive-missing-edge.  All are
-/// connected-over-time by construction.  Factory form of
-/// standard_battery_configs() (core/spec.hpp).
-[[nodiscard]] std::vector<AdversarySpec> standard_battery();
-
-/// Individual members of the battery (also usable on their own); thin
-/// wrappers over the adversary registry.
-[[nodiscard]] AdversarySpec static_spec();
-[[nodiscard]] AdversarySpec bernoulli_spec(double p);
-[[nodiscard]] AdversarySpec periodic_spec(std::uint32_t period,
-                                          std::uint32_t duty);
-[[nodiscard]] AdversarySpec t_interval_spec(Time interval);
-[[nodiscard]] AdversarySpec bounded_absence_spec(Time max_absence);
-[[nodiscard]] AdversarySpec eventual_missing_spec();
-[[nodiscard]] AdversarySpec adaptive_missing_spec();
-
 struct ExperimentConfig {
   std::uint32_t nodes = 4;
   std::uint32_t robots = 3;
@@ -68,7 +36,7 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
   /// Activation model.  SSYNC runs under seeded Bernoulli activation and
   /// ASYNC under seeded Bernoulli phase advancement (probability
-  /// `activation_p`, same default as SweepGrid and pef_run); the adversary
+  /// `activation_p`, same default as ScenarioSpec and pef_run); the adversary
   /// is adapted through SsyncFromFsyncAdversary and ignores the activation
   /// mask.
   ExecutionModel model = ExecutionModel::kFsync;
@@ -102,11 +70,6 @@ struct RunResult {
 
 [[nodiscard]] RunResult run_experiment(const ExperimentConfig& config);
 
-/// Run the config across `seeds` different seeds; returns all results.
-[[nodiscard]] std::vector<RunResult> run_battery(ExperimentConfig config,
-                                                 std::uint64_t first_seed,
-                                                 std::uint32_t seeds);
-
 /// Materialize a data-only spec into a runnable config (resolves the
 /// algorithm name; everything else copies over).  Aborts if the spec does
 /// not validate — call spec.validate() first for a recoverable error.
@@ -115,8 +78,10 @@ struct RunResult {
 /// One call = one spec: validate, materialize, run, analyse.
 [[nodiscard]] RunResult run_scenario(const ScenarioSpec& spec);
 
-/// The spec across `seeds` different seeds starting at `first_seed`
-/// (spec.seed is ignored).
+/// The spec across `seeds` different seeds starting at `first_seed`:
+/// result s equals run_scenario(spec) with spec.seed = first_seed + s
+/// (spec.seed itself is ignored).  The seeds run as one traced seed group
+/// (run_seed_group), so plan_batch decides solo vs batched.
 [[nodiscard]] std::vector<RunResult> run_battery(const ScenarioSpec& spec,
                                                  std::uint64_t first_seed,
                                                  std::uint32_t seeds);

@@ -1,10 +1,8 @@
 // ScenarioSpec — the declarative, serializable scenario/sweep API.
 //
 // The experimental surface of the paper (algorithm × adversary × model ×
-// n × k × seed) used to be described three incompatible ways: callable
-// AdversarySpec factories in the harness, SweepGrid in the sweep runner,
-// and pef_run's private flag table.  This header is the single data-only
-// description all of them now share:
+// n × k × seed) has one data-only description, shared by the harness, the
+// sweep runner and pef_run's flags:
 //
 //   AdversaryConfig  {kind enum, params}   — a value, not a callable;
 //   ScenarioSpec     one run               — n, k, algorithm, adversary,
@@ -120,8 +118,7 @@ struct AdversaryParam {
 };
 
 /// A value description of one adversary: kind + sparse parameter overrides.
-/// Copyable, comparable, serializable — the replacement for the callable
-/// AdversarySpec factories.
+/// Copyable, comparable, serializable.
 struct AdversaryConfig {
   AdversaryKind kind = AdversaryKind::kStatic;
   /// Overrides of the registry defaults; names must be declared by `kind`.
@@ -149,8 +146,8 @@ struct AdversaryConfig {
 
 /// Resolve a config to a live adversary for one run.  `robots` feeds the
 /// auto width of cage/proof (width 0 means min(robots + 1, n - 1)); pass the
-/// scenario's k.  Seed derivation matches the historical battery factories
-/// bit-for-bit.  On Topology::kChain the resolved adversary is restricted to
+/// scenario's k.  Seed derivation is pinned by the sweep baselines.  On
+/// Topology::kChain the resolved adversary is restricted to
 /// the chain: oblivious schedules are rewrapped in ChainSchedule::cut_last
 /// (preserving the batchable word-plane fast path), adaptive adversaries get
 /// the cut edge erased from every choice.

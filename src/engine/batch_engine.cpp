@@ -1,6 +1,7 @@
 #include "engine/batch_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -622,6 +623,81 @@ void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
       replica.phases = standard_async_phases(activation_p, seed);
       break;
   }
+}
+
+BatchPlan run_seed_group(
+    const SeedGroup& group,
+    const std::function<SeedRun(std::uint64_t index)>& make_seed,
+    const std::function<void(std::uint64_t index, const SeedResult& result)>&
+        on_result) {
+  using Clock = std::chrono::steady_clock;
+  const BatchPlan plan =
+      group.horizon <= kMaxBatchHorizon
+          ? plan_batch(group.model, group.ring.node_count(), group.robots,
+                       group.seeds, group.max_batch)
+          : BatchPlan{};
+
+  if (!plan.use_batch()) {
+    EngineOptions options;
+    options.record_trace = group.record_trace;
+    options.fast_forward.enabled = group.fast_forward;
+    for (std::uint64_t i = 0; i < group.seeds; ++i) {
+      SeedRun run = make_seed(i);
+      const auto start = Clock::now();
+      Engine engine = make_standard_engine(
+          group.ring, group.model, std::move(run.algorithm),
+          std::move(run.adversary), group.activation_p, run.seed,
+          run.placements, options);
+      engine.run(group.horizon);
+      SeedResult result;
+      result.wall_seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      result.stats = engine.stats();
+      result.coverage = engine.coverage_report();
+      if (engine.fast_forwarded()) {
+        result.rounds_simulated = engine.rounds_simulated();
+      }
+      if (group.record_trace) result.trace = &engine.trace();
+      on_result(i, result);
+    }
+    return plan;
+  }
+
+  BatchEngineOptions options;
+  options.record_trace = group.record_trace;
+  options.threads = group.engine_threads;
+  options.fast_forward.enabled = group.fast_forward;
+  for (std::uint64_t first = 0; first < group.seeds; first += plan.width) {
+    const auto count = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(plan.width, group.seeds - first));
+    std::vector<BatchReplica> replicas(count);
+    for (std::uint32_t b = 0; b < count; ++b) {
+      SeedRun run = make_seed(first + b);
+      BatchReplica& replica = replicas[b];
+      replica.algorithm = std::move(run.algorithm);
+      replica.placements = std::move(run.placements);
+      replica.horizon = group.horizon;
+      wire_standard_replica(replica, group.model, std::move(run.adversary),
+                            group.activation_p, run.seed);
+    }
+    const auto start = Clock::now();
+    BatchEngine engine(group.ring, group.model, std::move(replicas), options);
+    engine.run_all();
+    const double wall =
+        std::chrono::duration<double>(Clock::now() - start).count() / count;
+    for (std::uint32_t b = 0; b < count; ++b) {
+      SeedResult result;
+      result.wall_seconds = wall;
+      result.stats = engine.stats(b);
+      result.coverage = engine.coverage_report(b);
+      if (engine.fast_forwarded(b)) {
+        result.rounds_simulated = engine.rounds_simulated(b);
+      }
+      if (group.record_trace) result.trace = &engine.trace(b);
+      on_result(first + b, result);
+    }
+  }
+  return plan;
 }
 
 BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
@@ -1725,26 +1801,16 @@ void BatchEngine::ff_init() {
   ff_.resize(batch_);
   for (std::uint32_t l = 0; l < batch_; ++l) {
     LaneFf& f = ff_[l];
-    // Mirrors Engine::ff_eligible: the lane must be a pure function of its
-    // sampled state — oblivious periodic edges, non-Bernoulli activation.
-    if (schedules_[l] == nullptr) continue;
-    Time activation_period = 1;
-    if (model_ != ExecutionModel::kFsync) {
-      const auto kind = static_cast<ActivationBatchKind>(act_kind_[l]);
-      if (kind == ActivationBatchKind::kRoundRobin) {
-        activation_period = robots_;
-      } else if (kind != ActivationBatchKind::kFull) {
-        continue;  // Bernoulli draws or an unknown virtual policy
-      }
-    }
-    const ScheduleRecurrence recurrence = schedules_[l]->recurrence();
-    if (recurrence.period == 0) continue;
-    const Time env_period =
-        combine_recurrence_periods(recurrence.period, activation_period);
-    if (env_period == 0 || env_period > kMaxEnvPeriod) continue;
+    const std::optional<EnvLattice> lattice = env_lattice(
+        schedules_[l],
+        model_ == ExecutionModel::kFsync
+            ? ActivationBatchKind::kFull
+            : static_cast<ActivationBatchKind>(act_kind_[l]),
+        robots_);
+    if (!lattice) continue;
     f.stage = LaneFf::Stage::kSearch;
-    f.env_period = env_period;
-    f.env_start = recurrence.start;
+    f.env_period = lattice->period;
+    f.env_start = lattice->start;
     f.detector = BrentDetector(options_.fast_forward.hash_mask);
     ff_enabled_ = true;
   }

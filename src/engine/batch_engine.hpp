@@ -75,6 +75,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -121,14 +122,14 @@ struct BatchReplica {
 };
 
 /// The longest replica horizon a BatchEngine accepts: its visit cells store
-/// u32 times.  Entry points that batch seed groups (SweepRunner, pef_run
-/// --batch) route longer runs to solo Engines, which keep 64-bit time.
+/// u32 times.  run_seed_group routes longer seed groups to solo Engines,
+/// which keep 64-bit time.
 inline constexpr Time kMaxBatchHorizon =
     std::numeric_limits<std::uint32_t>::max() - 1;
 
-/// Wire `replica`'s model-specific pieces the way every FSYNC-battery
-/// entry point does it (SweepRunner, run_battery, pef_run --batch): FSYNC
-/// takes the adversary directly; SSYNC/ASYNC adapt it through
+/// Wire `replica`'s model-specific pieces the way run_seed_group wires
+/// every batched seed (the batched counterpart of make_standard_engine):
+/// FSYNC takes the adversary directly; SSYNC/ASYNC adapt it through
 /// SsyncFromFsyncAdversary and attach the standard seeded Bernoulli
 /// activation / phase scheduler, so batched and solo runs of the same
 /// (model, seed) see identical streams.
@@ -170,9 +171,10 @@ struct BatchEngineOptions {
 // (mask/multiplicity plane passes, the wider working set); below that the
 // solo Engine's occupancy histogram is strictly cheaper.  The break-even
 // point and the preferred width were calibrated from BENCH_scaling's
-// batch_throughput series per activation model and n/k regime; callers
-// (SweepRunner, pef_run --batch auto) route through plan_batch so the
-// B=1..small regime never regresses against solo Engines.
+// batch_throughput series per activation model and n/k regime.  Every seed
+// group (SweepRunner, pef_run --batch, run_battery) runs through
+// run_seed_group, which asks plan_batch, so the B=1..small regime never
+// regresses against solo Engines.
 
 /// The smallest replica count at which a BatchEngine beats `B` solo Engine
 /// runs of the same scenario (>= 2 always: one replica is never batched).
@@ -199,6 +201,64 @@ struct BatchPlan {
 [[nodiscard]] BatchPlan plan_batch(ExecutionModel model, std::uint32_t n,
                                    std::uint32_t k, std::uint64_t seeds,
                                    std::uint32_t max_batch);
+
+// ---------------------------------------------------------------------------
+// Seed groups
+//
+// A seed group is one scenario (ring, model, horizon) run over many seeds.
+// run_seed_group is the single place that decides how: solo Engines or
+// BatchEngine chunks of plan_batch's width, and solo whenever the horizon
+// outgrows kMaxBatchHorizon.  Either route yields bit-identical per-seed
+// results.
+
+/// The scenario every seed of a group shares.
+struct SeedGroup {
+  Ring ring;
+  std::uint32_t robots = 0;
+  ExecutionModel model = ExecutionModel::kFsync;
+  Time horizon = 0;
+  double activation_p = 0.5;
+  std::uint64_t seeds = 0;
+  /// Width cap handed to plan_batch: 0 = adaptive, 1 = always solo.
+  std::uint32_t max_batch = 0;
+  /// Intra-cell worker threads for batched chunks (BatchEngineOptions).
+  std::uint32_t engine_threads = 1;
+  bool fast_forward = false;
+  bool record_trace = false;
+};
+
+/// One seed's scenario objects, built by the caller's factory.  `seed`
+/// seeds the standard SSYNC/ASYNC activation stream.
+struct SeedRun {
+  std::uint64_t seed = 0;
+  AlgorithmPtr algorithm;
+  AdversaryPtr adversary;
+  std::vector<RobotPlacement> placements;
+};
+
+/// One seed's results, valid only during the callback (the trace belongs
+/// to the engine that produced it).
+struct SeedResult {
+  EngineStats stats;
+  CoverageReport coverage;
+  /// Rounds actually stepped when the cycle detector engaged; 0 = ran
+  /// plain.
+  Time rounds_simulated = 0;
+  /// Non-null iff group.record_trace.
+  const Trace* trace = nullptr;
+  /// The seed's share of its engine's construct-and-run time (a batched
+  /// chunk's time is split evenly over its seeds).
+  double wall_seconds = 0;
+};
+
+/// Run seeds 0..group.seeds-1: `make_seed(i)` builds seed i's scenario and
+/// `on_result(i, result)` receives its results, in index order.  Returns
+/// the plan it used.
+BatchPlan run_seed_group(
+    const SeedGroup& group,
+    const std::function<SeedRun(std::uint64_t index)>& make_seed,
+    const std::function<void(std::uint64_t index, const SeedResult& result)>&
+        on_result);
 
 class BatchEngine {
  public:
@@ -333,7 +393,8 @@ class BatchEngine {
   /// time t1: tower stats, round counters.
   void finish_round(std::uint32_t l0, std::uint32_t l1, Time t1);
   /// Resolve per-lane fast-forward eligibility (called once at
-  /// construction; mirrors Engine::ff_eligible per lane).
+  /// construction; per lane, the env_lattice rule Engine::ff_eligible
+  /// applies).
   void ff_init();
   /// Per-lane cycle detection at boundary t for lanes [l0, l1): advance
   /// each lane's detection state machine (search -> measure -> armed).

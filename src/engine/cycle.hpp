@@ -21,9 +21,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
+#include "dynamic_graph/schedule.hpp"
+#include "scheduler/ssync.hpp"
 
 namespace pef {
 
@@ -38,6 +41,38 @@ struct FastForwardOptions {
 /// Environment periods above this are not worth detecting: the detector
 /// would sample too sparsely to pay off within any realistic horizon.
 inline constexpr Time kMaxEnvPeriod = Time{1} << 20;
+
+/// The environment-aligned sampling lattice: t >= start with
+/// (t - start) % period == 0.
+struct EnvLattice {
+  Time period = 1;
+  Time start = 0;
+};
+
+/// The lattice of a run whose edges come from `schedule` (null: an adaptive
+/// adversary) and whose robots act under `activation` (kFull for FSYNC)
+/// with `robots` robots — or nullopt when the run's future is not a pure
+/// function of its sampled state (adaptive edges, Bernoulli or unknown
+/// virtual activation, no known edge recurrence) or the lattice is coarser
+/// than kMaxEnvPeriod.  The one eligibility rule Engine and BatchEngine
+/// share.
+[[nodiscard]] inline std::optional<EnvLattice> env_lattice(
+    const EdgeSchedule* schedule, ActivationBatchKind activation,
+    std::uint32_t robots) {
+  Time activation_period = 1;
+  if (activation == ActivationBatchKind::kRoundRobin) {
+    activation_period = robots;
+  } else if (activation != ActivationBatchKind::kFull) {
+    return std::nullopt;
+  }
+  if (schedule == nullptr) return std::nullopt;
+  const ScheduleRecurrence recurrence = schedule->recurrence();
+  if (recurrence.period == 0) return std::nullopt;
+  const Time period =
+      combine_recurrence_periods(recurrence.period, activation_period);
+  if (period == 0 || period > kMaxEnvPeriod) return std::nullopt;
+  return EnvLattice{period, recurrence.start};
+}
 
 /// FNV-1a over a stream of 64-bit words — cheap, stateless, good enough as
 /// a first-pass filter (every hit is exact-verified anyway).

@@ -482,47 +482,22 @@ void Engine::run(Time rounds) {
 }
 
 bool Engine::ff_eligible() {
-  // Every excluded component would make the sampled state an incomplete
-  // description of the future: a trace must record each round; Bernoulli
-  // activation and adaptive adversaries consume unbounded RNG / observe
-  // positions, so their future is not a function of the sampled state.
+  // A trace must record each round, so tracing never fast-forwards; the
+  // rest is env_lattice's rule.
   if (options_.record_trace) return false;
-
-  const EdgeSchedule* schedule = nullptr;
-  Time activation_period = 1;
-  switch (model_) {
-    case ExecutionModel::kFsync:
-      schedule = schedule_;  // non-null iff the adversary is oblivious
-      break;
-    case ExecutionModel::kSsync: {
-      schedule = ssync_adversary_->oblivious_schedule();
-      const ActivationBatchKind kind = activation_->batch_kind();
-      if (kind == ActivationBatchKind::kRoundRobin) {
-        activation_period = robot_count();
-      } else if (kind != ActivationBatchKind::kFull) {
-        return false;  // Bernoulli or unknown virtual policy
-      }
-      break;
-    }
-    case ExecutionModel::kAsync: {
-      schedule = ssync_adversary_->oblivious_schedule();
-      const ActivationBatchKind kind = phase_scheduler_->batch_kind();
-      if (kind == ActivationBatchKind::kRoundRobin) {
-        activation_period = robot_count();
-      } else if (kind != ActivationBatchKind::kFull) {
-        return false;
-      }
-      break;
-    }
+  const EdgeSchedule* schedule = schedule_;  // FSYNC: non-null iff oblivious
+  ActivationBatchKind activation = ActivationBatchKind::kFull;
+  if (model_ != ExecutionModel::kFsync) {
+    schedule = ssync_adversary_->oblivious_schedule();
+    activation = model_ == ExecutionModel::kSsync
+                     ? activation_->batch_kind()
+                     : phase_scheduler_->batch_kind();
   }
-  if (schedule == nullptr) return false;
-  const ScheduleRecurrence recurrence = schedule->recurrence();
-  if (recurrence.period == 0) return false;
-  const Time env_period =
-      combine_recurrence_periods(recurrence.period, activation_period);
-  if (env_period == 0 || env_period > kMaxEnvPeriod) return false;
-  ff_env_period_ = env_period;
-  ff_env_start_ = recurrence.start;
+  const std::optional<EnvLattice> lattice =
+      env_lattice(schedule, activation, robot_count());
+  if (!lattice) return false;
+  ff_env_period_ = lattice->period;
+  ff_env_start_ = lattice->start;
   return true;
 }
 

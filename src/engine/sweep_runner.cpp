@@ -93,95 +93,6 @@ void fill_metrics(const EngineStats& stats, const CoverageReport& coverage,
   cell.total_moves = stats.total_moves;
 }
 
-std::vector<RobotPlacement> placements_for(const SweepSpec& spec,
-                                           const Ring& ring,
-                                           std::uint32_t robots,
-                                           std::uint64_t eff_seed) {
-  return spec.random_placements
-             ? random_placements(ring, robots, derive_seed(eff_seed, 0x91ace))
-             : spread_placements(ring, robots);
-}
-
-SweepCell run_cell(const SweepContext& context, const CellTask& task) {
-  const SweepSpec& spec = context.spec;
-  SweepCell cell;
-  fill_coordinates(context, task, cell);
-
-  const Ring ring(task.nodes);
-  const std::vector<RobotPlacement> placements =
-      placements_for(spec, ring, task.robots, cell.effective_seed);
-
-  AlgorithmPtr algorithm = make_algorithm(cell.algorithm, cell.effective_seed);
-  AdversaryPtr adversary =
-      adversary_from_config(spec.adversaries[task.adversary_index], ring,
-                            cell.effective_seed, task.robots, spec.topology);
-
-  EngineOptions options;
-  options.fast_forward.enabled = spec.fast_forward;
-
-  const auto start = std::chrono::steady_clock::now();
-  Engine engine = make_standard_engine(
-      ring, cell.model, std::move(algorithm), std::move(adversary),
-      spec.activation_p, cell.effective_seed, placements, options);
-  engine.run(cell.horizon);
-  const auto stop = std::chrono::steady_clock::now();
-
-  fill_metrics(engine.stats(), engine.coverage_report(), cell);
-  if (engine.fast_forwarded()) {
-    cell.rounds_covered = cell.horizon;
-    cell.rounds_simulated = engine.rounds_simulated();
-  }
-  cell.wall_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  return cell;
-}
-
-/// Run `count` consecutive same-scenario tasks (differing only in seed) as
-/// one BatchEngine of per-seed replicas.  `cells` points at the group's
-/// output slots.
-void run_batched(const SweepContext& context, const CellTask* tasks,
-                 std::uint32_t count, SweepCell* cells) {
-  const SweepSpec& spec = context.spec;
-  const Ring ring(tasks[0].nodes);
-  const ExecutionModel model = spec.models[tasks[0].model_index];
-
-  std::vector<BatchReplica> replicas(count);
-  for (std::uint32_t b = 0; b < count; ++b) {
-    SweepCell& cell = cells[b];
-    fill_coordinates(context, tasks[b], cell);
-    BatchReplica& replica = replicas[b];
-    replica.algorithm = make_algorithm(cell.algorithm, cell.effective_seed);
-    replica.placements =
-        placements_for(spec, ring, cell.robots, cell.effective_seed);
-    replica.horizon = cell.horizon;
-    wire_standard_replica(
-        replica, model,
-        adversary_from_config(spec.adversaries[tasks[b].adversary_index],
-                              ring, cell.effective_seed, cell.robots,
-                              spec.topology),
-        spec.activation_p, cell.effective_seed);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  BatchEngineOptions options;
-  options.threads = context.engine_threads;
-  options.fast_forward.enabled = spec.fast_forward;
-  BatchEngine engine(ring, model, std::move(replicas), options);
-  engine.run_all();
-  const auto stop = std::chrono::steady_clock::now();
-  const double wall =
-      std::chrono::duration<double>(stop - start).count() / count;
-
-  for (std::uint32_t b = 0; b < count; ++b) {
-    fill_metrics(engine.stats(b), engine.coverage_report(b), cells[b]);
-    cells[b].wall_seconds = wall;
-    if (engine.fast_forwarded(b)) {
-      cells[b].rounds_covered = cells[b].horizon;
-      cells[b].rounds_simulated = engine.rounds_simulated(b);
-    }
-  }
-}
-
 /// A maximal run of tasks sharing every coordinate but the seed.
 struct CellGroup {
   std::size_t first = 0;
@@ -213,29 +124,48 @@ std::vector<CellGroup> group_cells(const std::vector<CellTask>& tasks,
 void run_group(const SweepContext& context,
                const std::vector<CellTask>& tasks, const CellGroup& group,
                SweepCell* cells) {
-  // The calibrated break-even model decides both whether to batch at all
-  // and how wide: a narrow seed group (or an explicit max_batch below
-  // break-even) routes to solo Engines, which are strictly faster there,
-  // and so does a horizon too long for the batch's u32 visit cells.
-  // Either route yields byte-identical cells.
   const SweepSpec& spec = context.spec;
   const CellTask& head = tasks[group.first];
-  const BatchPlan plan =
-      spec.batch_seeds && spec.horizon_for(head.nodes) <= kMaxBatchHorizon
-          ? plan_batch(spec.models[head.model_index], head.nodes,
-                       head.robots, group.count, spec.max_batch)
-          : BatchPlan{};
-  if (!plan.use_batch()) {
-    for (std::uint32_t b = 0; b < group.count; ++b) {
-      cells[b] = run_cell(context, tasks[group.first + b]);
-    }
-    return;
-  }
-  for (std::uint32_t off = 0; off < group.count; off += plan.width) {
-    const std::uint32_t count = std::min(plan.width, group.count - off);
-    run_batched(context, tasks.data() + group.first + off, count,
-                cells + off);
-  }
+  const SeedGroup seed_group{
+      .ring = Ring(head.nodes),
+      .robots = head.robots,
+      .model = spec.models[head.model_index],
+      .horizon = spec.horizon_for(head.nodes),
+      .activation_p = spec.activation_p,
+      .seeds = group.count,
+      .max_batch = spec.batch_seeds ? spec.max_batch : 1,
+      .engine_threads = context.engine_threads,
+      .fast_forward = spec.fast_forward,
+  };
+  run_seed_group(
+      seed_group,
+      [&](std::uint64_t b) {
+        const CellTask& task = tasks[group.first + b];
+        SweepCell& cell = cells[b];
+        fill_coordinates(context, task, cell);
+        const std::uint64_t seed = cell.effective_seed;
+        return SeedRun{
+            .seed = seed,
+            .algorithm = make_algorithm(cell.algorithm, seed),
+            .adversary = adversary_from_config(
+                spec.adversaries[task.adversary_index], seed_group.ring,
+                seed, task.robots, spec.topology),
+            .placements =
+                spec.random_placements
+                    ? random_placements(seed_group.ring, task.robots,
+                                        derive_seed(seed, 0x91ace))
+                    : spread_placements(seed_group.ring, task.robots),
+        };
+      },
+      [&](std::uint64_t b, const SeedResult& result) {
+        SweepCell& cell = cells[b];
+        fill_metrics(result.stats, result.coverage, cell);
+        cell.wall_seconds = result.wall_seconds;
+        if (result.rounds_simulated != 0) {
+          cell.rounds_covered = cell.horizon;
+          cell.rounds_simulated = result.rounds_simulated;
+        }
+      });
 }
 
 }  // namespace

@@ -3,15 +3,15 @@
 // A sweep is described by a data-only SweepSpec (core/spec.hpp): the
 // cartesian grid (algorithm × adversary × model × n × k × seed); each grid
 // cell is one independent engine run.  Cells that differ ONLY in seed are
-// one scenario run many times — exactly BatchEngine's shape — so the runner
-// dispatches each such seed group to one replica batch (per-seed results
-// stay bit-identical to solo Engine runs; the differential tests pin this)
-// instead of constructing a fresh Engine per seed.  A fixed-size pool of
-// worker threads pulls seed-group indices in CHUNKS from an atomic cursor
-// (one-group-per-fetch ping-pongs the cursor cache line on small grids),
-// grids below a work threshold skip the pool entirely, and the thread count
-// is clamped to the hardware — while the *results* cannot depend on
-// scheduling:
+// one scenario run many times, so the runner hands each such seed group to
+// run_seed_group (engine/batch_engine.hpp), which runs it on solo Engines or
+// replica batches as plan_batch decides (per-seed results stay
+// bit-identical either way; the differential tests pin this).  A fixed-size
+// pool of worker threads pulls seed-group indices in CHUNKS from an atomic
+// cursor (one-group-per-fetch ping-pongs the cursor cache line on small
+// grids), grids below a work threshold skip the pool entirely, and the
+// thread count is clamped to the hardware — while the *results* cannot
+// depend on scheduling:
 //
 //   * every cell derives its own RNG stream deterministically from its grid
 //     coordinates (see effective_seed below), never from thread identity,

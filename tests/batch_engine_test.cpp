@@ -469,36 +469,38 @@ TEST(BatchEngineTest, RaggedHorizonsRetireLanesOnSchedule) {
 }
 
 TEST(BatchEngineTest, RunBatteryBatchedMatchesSequentialRuns) {
-  // run_battery dispatches seed batteries to one traced BatchEngine; every
-  // per-seed RunResult must equal the sequential run_experiment's.
-  for (const ExecutionModel model :
-       {ExecutionModel::kFsync, ExecutionModel::kSsync,
-        ExecutionModel::kAsync}) {
-    SCOPED_TRACE(to_string(model));
-    ExperimentConfig config;
-    config.nodes = 10;
-    config.robots = 3;
-    config.algorithm = make_algorithm("pef3+");
-    config.adversary = adversary_config(AdversaryKind::kBernoulli, {{"p", 0.6}});
-    config.horizon = 300;
-    config.model = model;
+  // run_battery runs its seeds as one traced seed group: 2 seeds take the
+  // solo route, 4 the batched one.  Either way result s must be
+  // byte-identical to run_scenario at seed first_seed + s — random-walk
+  // included, whose walk is seeded per run, not from spec.seed.
+  for (const char* algorithm : {"pef3+", "random-walk"}) {
+    for (const ExecutionModel model :
+         {ExecutionModel::kFsync, ExecutionModel::kSsync,
+          ExecutionModel::kAsync}) {
+      for (const std::uint32_t seeds : {2u, 4u}) {
+        SCOPED_TRACE(std::string(algorithm) + " " + to_string(model) + " " +
+                     std::to_string(seeds) + " seeds");
+        ASSERT_EQ(plan_batch(model, 10, 3, seeds, 0).use_batch(), seeds == 4);
+        ScenarioSpec spec;
+        spec.nodes = 10;
+        spec.robots = 3;
+        spec.algorithm = algorithm;
+        spec.adversary =
+            adversary_config(AdversaryKind::kBernoulli, {{"p", 0.6}});
+        spec.horizon = 300;
+        spec.model = model;
+        spec.seed = 1;
 
-    const std::vector<RunResult> batched = run_battery(config, 5, 4);
-    ASSERT_EQ(batched.size(), 4u);
-    for (std::uint32_t s = 0; s < 4; ++s) {
-      SCOPED_TRACE("seed " + std::to_string(5 + s));
-      config.seed = 5 + s;
-      const RunResult solo = run_experiment(config);
-      const RunResult& batch = batched[s];
-      EXPECT_EQ(batch.seed, solo.seed);
-      EXPECT_EQ(batch.perpetual, solo.perpetual);
-      EXPECT_EQ(batch.adversary_legal, solo.adversary_legal);
-      EXPECT_EQ(batch.coverage.visit_counts, solo.coverage.visit_counts);
-      EXPECT_EQ(batch.coverage.cover_time, solo.coverage.cover_time);
-      EXPECT_EQ(batch.coverage.max_revisit_gap, solo.coverage.max_revisit_gap);
-      EXPECT_EQ(batch.towers.tower_formation_count,
-                solo.towers.tower_formation_count);
-      EXPECT_EQ(batch.towers.max_tower_size, solo.towers.max_tower_size);
+        const std::vector<RunResult> battery = run_battery(spec, 5, seeds);
+        ASSERT_EQ(battery.size(), seeds);
+        for (std::uint32_t s = 0; s < seeds; ++s) {
+          ScenarioSpec solo = spec;
+          solo.seed = 5 + s;
+          EXPECT_EQ(run_result_to_json(battery[s]),
+                    run_result_to_json(run_scenario(solo)))
+              << "seed " << solo.seed;
+        }
+      }
     }
   }
 }

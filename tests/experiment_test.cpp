@@ -58,14 +58,14 @@ TEST(ExperimentTest, DifferentSeedsUsuallyDiffer) {
 }
 
 TEST(ExperimentTest, BatteryRunsAllSeeds) {
-  ExperimentConfig config;
-  config.nodes = 5;
-  config.robots = 3;
-  config.algorithm = make_algorithm("pef3+");
-  config.adversary =
+  ScenarioSpec spec;
+  spec.nodes = 5;
+  spec.robots = 3;
+  spec.algorithm = "pef3+";
+  spec.adversary =
       adversary_config(AdversaryKind::kTInterval, {{"interval", 3}});
-  config.horizon = 400;
-  const auto results = run_battery(config, 100, 8);
+  spec.horizon = 400;
+  const auto results = run_battery(spec, 100, 8);
   ASSERT_EQ(results.size(), 8u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].seed, 100u + i);

@@ -136,36 +136,6 @@ TEST(AdversaryRegistryTest, DisplayNamesMatchTheHistoricalBatteryNames) {
   EXPECT_EQ(adversary_display_name(
                 adversary_config(AdversaryKind::kBoundedAbsence)),
             "bounded-absence(A=6)");
-  const auto battery = standard_battery_configs();
-  const auto factories = standard_battery();
-  ASSERT_EQ(battery.size(), factories.size());
-  for (std::size_t i = 0; i < battery.size(); ++i) {
-    EXPECT_EQ(adversary_display_name(battery[i]), factories[i].name);
-  }
-}
-
-TEST(AdversaryRegistryTest, ConfigMatchesFactoryDraws) {
-  // adversary_from_config must reproduce the historical factories exactly:
-  // same schedule family, same seed derivation, same edge sets.
-  const Ring ring(9);
-  const Configuration gamma(
-      ring, {{0, LocalDirection::kRight, Chirality(true), ""},
-             {3, LocalDirection::kLeft, Chirality(true), ""},
-             {6, LocalDirection::kRight, Chirality(false), ""}});
-  for (const AdversaryConfig& config : standard_battery_configs()) {
-    const AdversarySpec factory = spec_from_config(config);
-    AdversaryPtr a = adversary_from_config(config, ring, 42);
-    AdversaryPtr b = factory.make(ring, 42);
-    for (Time t = 0; t < 64; ++t) {
-      const EdgeSet ea = a->choose_edges(t, gamma);
-      const EdgeSet eb = b->choose_edges(t, gamma);
-      for (EdgeId e = 0; e < ring.edge_count(); ++e) {
-        ASSERT_EQ(ea.contains(e), eb.contains(e))
-            << adversary_display_name(config) << " diverged at t=" << t
-            << " edge " << e;
-      }
-    }
-  }
 }
 
 TEST(AdversaryConfigTest, ParamResolutionAndEquality) {

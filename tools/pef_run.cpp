@@ -264,61 +264,37 @@ int main(int argc, char** argv) {
   };
 
   if (batch_given) {
-    // Monte-Carlo mode.  The engine is chosen by the calibrated break-even
-    // model: narrow seed counts run solo Engines (the batch's plane setup
-    // and per-round passes only amortize past the break-even width), wide
-    // ones run ONE BatchEngine advancing all seeds in lock-step, unless
-    // the horizon outgrows the batch's u32 visit cells.  Either way the
-    // per-seed results are bit-identical (differentially tested).
+    // Monte-Carlo mode.  run_seed_group picks the engine by the
+    // calibrated break-even model (solo Engines below it, one BatchEngine
+    // advancing all seeds in lock-step above it, solo for horizons past the
+    // batch's u32 visit cells); the per-seed results are bit-identical
+    // either way.
     if (batch_auto) batch = preferred_batch_width(*model, nodes, robots);
-    const BatchPlan plan = horizon <= kMaxBatchHorizon
-                               ? plan_batch(*model, nodes, robots, batch, batch)
-                               : BatchPlan{};
-
     std::vector<EngineStats> seed_stats(batch);
     std::vector<CoverageReport> seed_coverage(batch);
-    std::vector<Time> seed_simulated(batch, 0);  // 0 = ran plain
-    const char* engine_used = plan.use_batch() ? "batch" : "solo";
+    std::vector<Time> seed_simulated(batch);  // 0 = ran plain
     const auto start = std::chrono::steady_clock::now();
-    if (plan.use_batch()) {
-      std::vector<BatchReplica> replicas(batch);
-      for (std::uint32_t b = 0; b < batch; ++b) {
-        const std::uint64_t s = seed + b;
-        BatchReplica& replica = replicas[b];
-        replica.algorithm = make_algorithm(algorithm, s);
-        replica.placements = spread_placements(ring, robots);
-        replica.horizon = horizon;
-        wire_standard_replica(replica, *model, make_adversary(s),
-                              activation_p, s);
-      }
-      BatchEngineOptions options;
-      options.threads = threads;
-      options.fast_forward.enabled = fast_forward;
-      BatchEngine batch_engine(ring, *model, std::move(replicas), options);
-      batch_engine.run_all();
-      for (std::uint32_t b = 0; b < batch; ++b) {
-        seed_stats[b] = batch_engine.stats(b);
-        seed_coverage[b] = batch_engine.coverage_report(b);
-        if (batch_engine.fast_forwarded(b)) {
-          seed_simulated[b] = batch_engine.rounds_simulated(b);
-        }
-      }
-    } else {
-      for (std::uint32_t b = 0; b < batch; ++b) {
-        const std::uint64_t s = seed + b;
-        EngineOptions options;
-        options.fast_forward.enabled = fast_forward;
-        Engine solo = make_standard_engine(
-            ring, *model, make_algorithm(algorithm, s), make_adversary(s),
-            activation_p, s, spread_placements(ring, robots), options);
-        solo.run(horizon);
-        seed_stats[b] = solo.stats();
-        seed_coverage[b] = solo.coverage_report();
-        if (solo.fast_forwarded()) {
-          seed_simulated[b] = solo.rounds_simulated();
-        }
-      }
-    }
+    const BatchPlan plan = run_seed_group(
+        {.ring = ring,
+         .robots = robots,
+         .model = *model,
+         .horizon = horizon,
+         .activation_p = activation_p,
+         .seeds = batch,
+         .max_batch = batch,
+         .engine_threads = threads,
+         .fast_forward = fast_forward},
+        [&](std::uint64_t b) {
+          const std::uint64_t s = seed + b;
+          return SeedRun{s, make_algorithm(algorithm, s), make_adversary(s),
+                         spread_placements(ring, robots)};
+        },
+        [&](std::uint64_t b, const SeedResult& result) {
+          seed_stats[b] = result.stats;
+          seed_coverage[b] = result.coverage;
+          seed_simulated[b] = result.rounds_simulated;
+        });
+    const char* engine_used = plan.use_batch() ? "batch" : "solo";
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
