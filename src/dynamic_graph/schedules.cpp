@@ -75,11 +75,23 @@ std::string BernoulliSchedule::name() const {
 
 PeriodicSchedule::PeriodicSchedule(Ring ring,
                                    std::vector<EdgePattern> patterns)
-    : ring_(ring), patterns_(std::move(patterns)) {
+    : ring_(ring),
+      patterns_(std::move(patterns)),
+      row_words_(edge_word_count(ring_.edge_count())) {
   PEF_CHECK(patterns_.size() == ring_.edge_count());
   for (const EdgePattern& p : patterns_) {
     PEF_CHECK(p.period > 0);
     PEF_CHECK(p.duty <= p.period);
+    period_ = combine_recurrence_periods(period_, p.period);
+  }
+  // Every row depends on t only through t mod period_, so the whole
+  // schedule is period_ rows; tabulate them unless that exceeds the cap
+  // (the quotient form keeps period_ * row_words_ from overflowing).
+  if (period_ != 0 && period_ <= kMaxTabulatedWords / row_words_) {
+    rows_.resize(static_cast<std::size_t>(period_) * row_words_);
+    for (Time t = 0; t < period_; ++t) {
+      compute_row(t, rows_.data() + static_cast<std::size_t>(t) * row_words_);
+    }
   }
 }
 
@@ -92,6 +104,13 @@ PeriodicSchedule PeriodicSchedule::rotating(Ring ring, std::uint32_t period,
   return PeriodicSchedule(ring, std::move(patterns));
 }
 
+void PeriodicSchedule::compute_row(Time t, std::uint64_t* words) const {
+  for (std::uint32_t i = 0; i < row_words_; ++i) words[i] = 0;
+  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
+    if (present(patterns_[e], t)) words[e >> 6] |= 1ULL << (e & 63);
+  }
+}
+
 EdgeSet PeriodicSchedule::edges_at(Time t) const {
   EdgeSet s(ring_.edge_count());
   edges_into(t, s);
@@ -99,20 +118,22 @@ EdgeSet PeriodicSchedule::edges_at(Time t) const {
 }
 
 void PeriodicSchedule::edges_into(Time t, EdgeSet& out) const {
+  if (const std::uint64_t* words = row(t)) {
+    out.assign_words(words);
+    return;
+  }
   out.clear();
   for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    const EdgePattern& p = patterns_[e];
-    if ((t + p.phase) % p.period < p.duty) out.insert(e);
+    if (present(patterns_[e], t)) out.insert(e);
   }
 }
 
 void PeriodicSchedule::edges_into_words(Time t, std::uint64_t* words) const {
-  const std::uint32_t count = edge_word_count(ring_.edge_count());
-  for (std::uint32_t i = 0; i < count; ++i) words[i] = 0;
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    const EdgePattern& p = patterns_[e];
-    if ((t + p.phase) % p.period < p.duty) words[e >> 6] |= 1ULL << (e & 63);
+  if (const std::uint64_t* src = row(t)) {
+    std::copy_n(src, row_words_, words);
+    return;
   }
+  compute_row(t, words);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -136,18 +137,34 @@ class PeriodicSchedule final : public EdgeSchedule {
   void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
-    Time period = 1;
-    for (const EdgePattern& pattern : patterns_) {
-      period = combine_recurrence_periods(period, pattern.period);
-      if (period == 0) break;  // lcm overflowed: report unknown
-    }
-    return {period, Time{0}};
+    return {period_, Time{0}};
   }
   [[nodiscard]] std::string name() const override { return "periodic"; }
 
+  /// Largest table (rows x words per row, 128 KiB) the constructor builds:
+  /// pattern sets whose lcm period needs more words evaluate every edge per
+  /// call.
+  static constexpr std::size_t kMaxTabulatedWords = std::size_t{1} << 14;
+
  private:
+  /// The presence rule, stated once: it fills the table, and serves pattern
+  /// sets over the cap directly.
+  [[nodiscard]] static bool present(const EdgePattern& p, Time t) {
+    return (t + p.phase) % p.period < p.duty;
+  }
+  void compute_row(Time t, std::uint64_t* words) const;
+
+  /// The tabulated row for round t, or nullptr when the table is over cap.
+  [[nodiscard]] const std::uint64_t* row(Time t) const {
+    if (rows_.empty()) return nullptr;
+    return rows_.data() + static_cast<std::size_t>(t % period_) * row_words_;
+  }
+
   Ring ring_;
   std::vector<EdgePattern> patterns_;
+  Time period_ = 1;  // lcm of the pattern periods; 0 if it overflowed
+  std::uint32_t row_words_ = 0;
+  std::vector<std::uint64_t> rows_;  // period_ rows of row_words_ words
 };
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dynamic_graph/markov_schedule.hpp"
@@ -120,6 +123,98 @@ TEST(PeriodicScheduleTest, RotatingKeepsMostEdges) {
   for (Time t = 0; t < 30; ++t) {
     // duty/period = 2/3 of edges present on average; at least some present.
     EXPECT_GE(s.edges_at(t).size(), 2u);
+  }
+}
+
+/// The presence rule written out independently of the schedule: the row
+/// E_t for `patterns`, tail bits past the last edge clear.
+std::vector<std::uint64_t> expected_row(
+    const std::vector<PeriodicSchedule::EdgePattern>& patterns, Time t) {
+  const auto edges = static_cast<std::uint32_t>(patterns.size());
+  std::vector<std::uint64_t> row(edge_word_count(edges), 0);
+  for (EdgeId e = 0; e < edges; ++e) {
+    const PeriodicSchedule::EdgePattern& p = patterns[e];
+    if ((t + p.phase) % p.period < p.duty) row[e >> 6] |= 1ULL << (e & 63);
+  }
+  return row;
+}
+
+struct PeriodicCase {
+  std::string label;
+  std::vector<PeriodicSchedule::EdgePattern> patterns;
+  PeriodicSchedule schedule;
+};
+
+/// rotating(period, duty) alongside the patterns it is documented to build.
+PeriodicCase rotating_case(const Ring& ring, std::uint32_t period,
+                           std::uint32_t duty) {
+  std::vector<PeriodicSchedule::EdgePattern> patterns(ring.edge_count());
+  for (EdgeId e = 0; e < ring.edge_count(); ++e) {
+    patterns[e] = {period, duty, e % period};
+  }
+  return {"rotating(" + std::to_string(period) + "," + std::to_string(duty) +
+              ")",
+          patterns, PeriodicSchedule::rotating(ring, period, duty)};
+}
+
+TEST(PeriodicScheduleTest, RowsMatchPerEdgeFormula) {
+  // Tabulated rows (and the per-edge path above the table cap) against the
+  // formula, on rings that sit below, on and across 64-edge word boundaries.
+  constexpr std::uint32_t kMixedPeriods[] = {2, 3, 4, 6, 9};
+  for (const std::uint32_t n : {3u, 63u, 64u, 65u, 130u, 512u}) {
+    const Ring ring(n);
+    const std::uint32_t words = edge_word_count(n);
+    std::vector<PeriodicSchedule::EdgePattern> mixed(n);
+    std::vector<PeriodicSchedule::EdgePattern> over_cap(n);
+    for (EdgeId e = 0; e < n; ++e) {
+      const std::uint32_t period = kMixedPeriods[e % 5];
+      mixed[e] = {period, e % (period + 1), e * 7};
+      over_cap[e] = {e % 2 == 0 ? 65521u : 65519u, 3, e};
+    }
+    const std::vector<PeriodicCase> cases = {
+        rotating_case(ring, 5, 3),
+        rotating_case(ring, 1, 1),
+        rotating_case(ring, 7, 7),
+        rotating_case(ring, 600, 1),  // period > n for every n here
+        {"mixed", mixed, PeriodicSchedule(ring, mixed)},
+        {"over-cap", over_cap, PeriodicSchedule(ring, over_cap)},
+    };
+
+    for (const auto& [label, patterns, s] : cases) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " " + label);
+      const Time period = s.recurrence().period;
+      if (label == "over-cap") {
+        ASSERT_GT(period, PeriodicSchedule::kMaxTabulatedWords / words);
+      }
+      std::vector<Time> times;
+      for (Time t = 0; t < std::min<Time>(3 * period, 4096); ++t) {
+        times.push_back(t);
+      }
+      times.push_back((Time{1} << 32) - 1);
+      times.push_back((Time{1} << 40) + 3);
+
+      // One spare word past the row catches a filler that overruns it.
+      std::vector<std::uint64_t> row(words + 1);
+      EdgeSet into(n);
+      for (const Time t : times) {
+        const std::vector<std::uint64_t> expected = expected_row(patterns, t);
+        std::fill(row.begin(), row.end(), ~0ULL);
+        s.edges_into_words(t, row.data());
+        into.fill();
+        s.edges_into(t, into);
+        const EdgeSet at = s.edges_at(t);
+        const std::vector<std::uint64_t> from_words(row.begin(),
+                                                    row.begin() + words);
+        const std::vector<std::uint64_t> from_into(into.words(),
+                                                   into.words() + words);
+        const std::vector<std::uint64_t> from_at(at.words(),
+                                                 at.words() + words);
+        ASSERT_EQ(from_words, expected) << "edges_into_words t=" << t;
+        ASSERT_EQ(row[words], ~0ULL) << "edges_into_words overran, t=" << t;
+        ASSERT_EQ(from_into, expected) << "edges_into t=" << t;
+        ASSERT_EQ(from_at, expected) << "edges_at t=" << t;
+      }
+    }
   }
 }
 

@@ -6,15 +6,17 @@
 //
 // To regenerate after an *intentional* change:
 //   PEF_UPDATE_BASELINES=1 build/sweep_baseline_test
-// then review and commit the diff of tests/baselines/sweep_small.json.
+// then review and commit the diff under tests/baselines/.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/spec.hpp"
 #include "engine/sweep_runner.hpp"
 
 namespace pef {
@@ -49,6 +51,18 @@ SweepSpec chain_grid() {
   SweepSpec spec = baseline_grid();
   spec.topology = Topology::kChain;
   return spec;
+}
+
+/// Periodic(5,3) cells on multi-word rings (n = 70 and 130 cross one and
+/// two 64-edge word boundaries) under every execution model, with cycle
+/// fast-forward on — loaded from examples/specs/sweep_periodic.json, the
+/// spec the CI sharded smoke also diffs against this golden.
+std::optional<SweepSpec> periodic_grid(std::string* error) {
+  std::ifstream in(std::string(PEF_SPEC_DIR) + "/sweep_periodic.json",
+                   std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_sweep_spec(text.str(), error);
 }
 
 std::string baseline_path(const std::string& name) {
@@ -89,6 +103,14 @@ TEST(SweepBaselineTest, GridMatchesGoldenJson) {
 
 TEST(SweepBaselineTest, ChainGridMatchesGoldenJson) {
   expect_matches_golden(chain_grid(), "sweep_chain_small.json");
+}
+
+TEST(SweepBaselineTest, PeriodicGridMatchesGoldenJson) {
+  std::string error;
+  const std::optional<SweepSpec> spec = periodic_grid(&error);
+  ASSERT_TRUE(spec.has_value()) << "examples/specs/sweep_periodic.json: "
+                                << error;
+  expect_matches_golden(*spec, "sweep_periodic.json");
 }
 
 TEST(SweepBaselineTest, ChainGridDiffersFromRingGrid) {
