@@ -5,9 +5,9 @@
 // Scenarios are described by the data-only ScenarioSpec (core/spec.hpp);
 // run_scenario() executes one.  ExperimentConfig remains as the thin
 // programmatic adapter underneath (it holds a live AlgorithmPtr, which a
-// serializable spec cannot).  Every run records a trace (on an Engine, or a
-// BatchEngine for a wide run_battery), so the whole trace analysis suite
-// applies.
+// serializable spec cannot).  Every run records a trace on a solo Engine
+// (run_battery's traced seed groups never batch), so the whole trace
+// analysis suite applies.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,7 @@ struct RunResult {
 /// The spec across `seeds` different seeds starting at `first_seed`:
 /// result s equals run_scenario(spec) with spec.seed = first_seed + s
 /// (spec.seed itself is ignored).  The seeds run as one traced seed group
-/// (run_seed_group), so plan_batch decides solo vs batched.
+/// (run_seed_group), which runs each seed on a solo Engine.
 [[nodiscard]] std::vector<RunResult> run_battery(const ScenarioSpec& spec,
                                                  std::uint64_t first_seed,
                                                  std::uint32_t seeds);

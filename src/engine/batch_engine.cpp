@@ -631,8 +631,10 @@ BatchPlan run_seed_group(
     const std::function<void(std::uint64_t index, const SeedResult& result)>&
         on_result) {
   using Clock = std::chrono::steady_clock;
+  // The BatchEngine records no traces, and its u32 visit cells bound the
+  // horizon: traced groups and groups that do not fit run solo.
   const BatchPlan plan =
-      group.horizon <= kMaxBatchHorizon
+      !group.record_trace && fits_batch(group.robots, group.horizon)
           ? plan_batch(group.model, group.ring.node_count(), group.robots,
                        group.seeds, group.max_batch)
           : BatchPlan{};
@@ -664,7 +666,6 @@ BatchPlan run_seed_group(
   }
 
   BatchEngineOptions options;
-  options.record_trace = group.record_trace;
   options.threads = group.engine_threads;
   options.fast_forward.enabled = group.fast_forward;
   for (std::uint64_t first = 0; first < group.seeds; first += plan.width) {
@@ -693,7 +694,6 @@ BatchPlan run_seed_group(
       if (engine.fast_forwarded(b)) {
         result.rounds_simulated = engine.rounds_simulated(b);
       }
-      if (group.record_trace) result.trace = &engine.trace(b);
       on_result(first + b, result);
     }
   }
@@ -851,14 +851,6 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
     }
   }
 
-  if (options_.record_trace) {
-    traces_.resize(batch_);
-    record_scratch_.resize(batch_);
-    for (std::uint32_t r = 0; r < batch_; ++r) {
-      traces_[r] = std::make_unique<Trace>(ring_, snapshot(r));
-    }
-  }
-
   // Zero-horizon replicas are done before the first step.
   retire_finished();
 }
@@ -870,9 +862,8 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
                 "every replica of a batch must run the same KernelId");
   PEF_CHECK_MSG(replica.placements.size() == robots_,
                 "every replica of a batch must place the same robot count");
-  PEF_CHECK_MSG(
-      replica.horizon <= kMaxBatchHorizon,
-      "batch horizons must fit 32 bits (the visit cells store u32 times)");
+  PEF_CHECK_MSG(fits_batch(robots_, replica.horizon),
+                "batch horizons must fit the u32 visit cells (fits_batch)");
 
   switch (model_) {
     case ExecutionModel::kFsync:
@@ -1137,53 +1128,34 @@ void BatchEngine::observe_boundary(Time t, std::uint32_t l0,
   }
 }
 
+template <KernelId Id>
+void BatchEngine::model_round(std::uint32_t l0, std::uint32_t l1, Time t) {
+  switch (model_) {
+    case ExecutionModel::kFsync:
+      fsync_round<Id>(l0, l1, t);
+      break;
+    case ExecutionModel::kSsync:
+      ssync_round<Id>(l0, l1, t);
+      break;
+    case ExecutionModel::kAsync:
+      async_round<Id>(l0, l1, t);
+      break;
+  }
+}
+
 void BatchEngine::step() {
   PEF_CHECK_MSG(active_ > 0, "every replica already reached its horizon");
-  const bool tracing = !traces_.empty();
-  if (tracing) {
-    // Traced rounds keep global per-round barriers: the recorder snapshots
-    // every lane's planes between the prologue and the pass.
-    switch (model_) {
-      case ExecutionModel::kFsync:
-        step_fsync();
-        break;
-      case ExecutionModel::kSsync:
-        step_ssync();
-        break;
-      case ExecutionModel::kAsync:
-        step_async();
-        break;
-    }
-    update_mirrors(0, active_);
-    end_trace_round();
-    finish_round(0, active_, now_ + 1);
-  } else {
-    // Untraced: one range-local round per slice, no barriers inside.
-    with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-      parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-        switch (model_) {
-          case ExecutionModel::kFsync:
-            fsync_round<Id>(l0, l1, now_);
-            break;
-          case ExecutionModel::kSsync:
-            ssync_round<Id>(l0, l1, now_);
-            break;
-          case ExecutionModel::kAsync:
-            async_round<Id>(l0, l1, now_);
-            break;
-        }
-      });
+  // One range-local round per slice, no barriers inside.
+  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
+    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
+      model_round<Id>(l0, l1, now_);
     });
-  }
+  });
   ++now_;
   retire_finished();
 }
 
 void BatchEngine::run_all() {
-  if (!traces_.empty()) {
-    while (active_ > 0) step();
-    return;
-  }
   // Temporal tiling: a round touches every live lane's visit/occupancy
   // rows, and at wide B those rows outgrow L2 — per-round sweeps stream
   // from L3 no matter how good the passes are.  Lanes are fully
@@ -1205,19 +1177,7 @@ void BatchEngine::run_all() {
       parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
         for (std::uint32_t b0 = l0; b0 < l1; b0 += tile_lanes_) {
           const std::uint32_t b1 = std::min(l1, b0 + tile_lanes_);
-          for (Time dt = 0; dt < span; ++dt) {
-            switch (model_) {
-              case ExecutionModel::kFsync:
-                fsync_round<Id>(b0, b1, t0 + dt);
-                break;
-              case ExecutionModel::kSsync:
-                ssync_round<Id>(b0, b1, t0 + dt);
-                break;
-              case ExecutionModel::kAsync:
-                async_round<Id>(b0, b1, t0 + dt);
-                break;
-            }
-          }
+          for (Time dt = 0; dt < span; ++dt) model_round<Id>(b0, b1, t0 + dt);
         }
       });
       now_ += span;
@@ -1264,31 +1224,6 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
     PEF_CHECK(edges_[l].edge_count() == edge_count_);
     std::copy_n(edges_[l].words(), edge_words_per_row_, edge_row(l));
   }
-}
-
-void BatchEngine::step_fsync() {
-  if (edge_refill_needed_) refill_edges(0, active_, now_);
-  begin_trace_round();
-
-  bool all_full = true;
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    all_full = all_full && edges_full_[l] != 0;
-  }
-
-  // One parallel section per round: every slice runs its fused pass, then
-  // recomputes its multiplicity columns for boundary t+1, then observes
-  // its visit rows — all three sweeps over planes the pass just made hot.
-  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      if (all_full) {
-        fsync_pass<Id, true>(l0, l1);
-      } else {
-        fsync_pass<Id, false>(l0, l1);
-      }
-      recompute_multiplicity(l0, l1, now_ + 1);
-      observe_boundary(now_ + 1, l0, l1);
-    });
-  });
 }
 
 template <KernelId Id>
@@ -1502,27 +1437,6 @@ void BatchEngine::extract_lane_mask(const std::uint64_t* plane,
   }
 }
 
-void BatchEngine::step_ssync() {
-  // The mask plane must be complete before the serial prologue: virtual
-  // edge adversaries and the trace recorder read arbitrary lanes.
-  parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-    fill_mask_words(l0, l1, now_);
-  });
-  if (edge_refill_needed_) refill_edges(0, active_, now_);
-  begin_trace_round();
-
-  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      const std::size_t log_end = ssync_pass<Id>(l0, l1);
-      apply_move_log(std::size_t{l0} * robots_, log_end);
-      observe_boundary(now_ + 1, l0, l1);
-    });
-  });
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    tower_flag_[l] = multi_nodes_[l] != 0 ? 1 : 0;
-  }
-}
-
 template <KernelId Id>
 void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   fill_mask_words(l0, l1, t);
@@ -1618,28 +1532,6 @@ void BatchEngine::apply_move_log(std::size_t begin, std::size_t end) {
     const std::size_t row = std::size_t{mv.lane} * n;
     if (--occ_[row + mv.from] == 1) --multi_nodes_[mv.lane];
     if (++occ_[row + mv.to] == 2) ++multi_nodes_[mv.lane];
-  }
-}
-
-void BatchEngine::step_async() {
-  // Same sectioning as step_ssync; the tick prologue additionally
-  // snapshots the moving mask (advancing AND in-Move) per slice.
-  parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-    fill_mask_words(l0, l1, now_);
-    fill_moving_words(l0, l1);
-  });
-  if (edge_refill_needed_) refill_edges(0, active_, now_);
-  begin_trace_round();
-
-  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      const std::size_t log_end = async_pass<Id>(l0, l1);
-      apply_move_log(std::size_t{l0} * robots_, log_end);
-      observe_boundary(now_ + 1, l0, l1);
-    });
-  });
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    tower_flag_[l] = multi_nodes_[l] != 0 ? 1 : 0;
   }
 }
 
@@ -1797,7 +1689,7 @@ void BatchEngine::finish_round(std::uint32_t l0, std::uint32_t l1, Time t1) {
 
 void BatchEngine::ff_init() {
   ff_enabled_ = false;
-  if (!options_.fast_forward.enabled || options_.record_trace) return;
+  if (!options_.fast_forward.enabled) return;
   ff_.resize(batch_);
   for (std::uint32_t l = 0; l < batch_; ++l) {
     LaneFf& f = ff_[l];
@@ -1911,6 +1803,7 @@ void BatchEngine::ff_apply_armed() {
     stats_[l].total_moves = moves_[l];
     stats_[l].tower_rounds += f.delta_tower_rounds * reps;
     stats_[l].tower_formations += f.delta_formations * reps;
+    // fits_batch bounds every final count, so the u32 sum is exact.
     VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
     for (std::uint32_t u = 0; u < nodes_; ++u) {
       row[u].count += static_cast<std::uint32_t>(
@@ -2039,70 +1932,6 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace reconstruction (cold path).
-
-void BatchEngine::begin_trace_round() {
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    RoundRecord& record = record_scratch_[l];
-    record.time = now_;
-    if (record.edges.edge_count() != edge_count_) {
-      record.edges = EdgeSet(edge_count_);
-    }
-    record.edges.assign_words(edge_row(l));
-    record.robots.assign(robots_, RobotRoundRecord{});
-    for (std::uint32_t i = 0; i < robots_; ++i) {
-      const std::size_t at = std::size_t{i} * batch_ + l;
-      RobotRoundRecord& r = record.robots[i];
-      r.node_before = node_[at];
-      r.node_after = node_[at];
-      r.dir_before = static_cast<LocalDirection>(dir_[at]);
-      r.dir_after = r.dir_before;
-      // The multiplicity bit of every Look fired this round is
-      // reconstructable up front: all Looks read the start-of-round
-      // occupancy (the mult plane for FSYNC, the occ rows otherwise).
-      // Which robots Look depends on the model.
-      bool looks = false;
-      switch (model_) {
-        case ExecutionModel::kFsync:
-          looks = true;
-          break;
-        case ExecutionModel::kSsync:
-          looks = mask_bit(mask_words_.data(), i, l);
-          break;
-        case ExecutionModel::kAsync:
-          // Advancing and still in the Look phase (the planes are
-          // pre-transition here: tracing runs before the tick pass).
-          looks = mask_bit(mask_words_.data(), i, l) &&
-                  mask_bit(look_words_.data(), i, l);
-          break;
-      }
-      if (looks) {
-        r.saw_other_robots =
-            model_ == ExecutionModel::kFsync
-                ? mult_[at] != 0
-                : occ_[std::size_t{l} * nodes_ + node_[at]] > 1;
-      }
-    }
-  }
-}
-
-void BatchEngine::end_trace_round() {
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    RoundRecord& record = record_scratch_[l];
-    for (std::uint32_t i = 0; i < robots_; ++i) {
-      const std::size_t at = std::size_t{i} * batch_ + l;
-      RobotRoundRecord& r = record.robots[i];
-      r.dir_after = static_cast<LocalDirection>(dir_[at]);
-      r.node_after = node_[at];
-      // One Move crosses exactly one edge, so on a ring (n >= 2) a robot
-      // moved iff its node changed.
-      r.moved = r.node_after != r.node_before;
-    }
-    traces_[replica_of_lane_[l]]->append(record);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Per-replica results.
 
 const EngineStats& BatchEngine::stats(std::uint32_t replica) const {
@@ -2184,13 +2013,6 @@ Configuration BatchEngine::snapshot_lane(std::uint32_t lane) const {
     snaps.push_back(std::move(s));
   }
   return Configuration(ring_, std::move(snaps));
-}
-
-const Trace& BatchEngine::trace(std::uint32_t replica) const {
-  PEF_CHECK(replica < batch_);
-  PEF_CHECK_MSG(!traces_.empty(),
-                "trace() requires BatchEngineOptions::record_trace");
-  return *traces_[replica];
 }
 
 }  // namespace pef

@@ -68,12 +68,18 @@
 // Results are BIT-IDENTICAL to B independent Engine runs: per-replica
 // adversaries / activation policies / phase schedulers consume the same
 // streams in the same order as a solo run (batched Bernoulli kernels replay
-// the policy's RNG stream draw-for-draw), and tests/batch_engine_test.cpp
-// pins traces and stats to Engine across every registry kernel x {FSYNC,
-// SSYNC, ASYNC} x batchable and non-batchable adversaries x seeds,
-// including ragged horizons.
+// the policy's RNG stream draw-for-draw).  tests/batch_engine_test.cpp
+// steps a batch round by round next to B solo Engines and pins every live
+// replica's configuration and stats after every round, then final stats and
+// coverage through both step() and the tiled run_all(), across every
+// registry kernel x {FSYNC, SSYNC, ASYNC} x batchable and non-batchable
+// adversaries x seeds, including ragged horizons.
+//
+// The batch records no traces: run_seed_group runs every traced seed group
+// on solo Engines, which record them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -117,15 +123,20 @@ struct BatchReplica {
 
   /// Rounds (FSYNC/SSYNC) or ticks (ASYNC) this replica runs before it is
   /// compacted out of the batch.  Horizons may differ across replicas, and
-  /// none may exceed kMaxBatchHorizon.
+  /// each must satisfy fits_batch.
   Time horizon = 0;
 };
 
-/// The longest replica horizon a BatchEngine accepts: its visit cells store
-/// u32 times.  run_seed_group routes longer seed groups to solo Engines,
-/// which keep 64-bit time.
-inline constexpr Time kMaxBatchHorizon =
-    std::numeric_limits<std::uint32_t>::max() - 1;
+/// Whether `robots` robots over `horizon` rounds fit a BatchEngine's u32
+/// visit cells: a node collects at most robots x (horizon + 1) visits
+/// (boundaries 0..horizon), and that bound <= UINT32_MAX also keeps every
+/// u32 last-visit stamp (<= horizon) exact.  The BatchEngine constructor
+/// checks it per replica; run_seed_group routes groups that do not fit to
+/// solo Engines, which count in 64 bits.
+[[nodiscard]] constexpr bool fits_batch(std::uint32_t robots, Time horizon) {
+  constexpr Time kMaxVisits = std::numeric_limits<std::uint32_t>::max();
+  return horizon < kMaxVisits / std::max<Time>(robots, 1);
+}
 
 /// Wire `replica`'s model-specific pieces the way run_seed_group wires
 /// every batched seed (the batched counterpart of make_standard_engine):
@@ -138,11 +149,6 @@ void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
                            std::uint64_t seed);
 
 struct BatchEngineOptions {
-  /// Record a full per-replica Trace (see Engine's option of the same
-  /// name).  Off by default — tracing is the differential-test path, the
-  /// batch's niche is untraced Monte-Carlo throughput.
-  bool record_trace = false;
-
   /// Enforce the paper's well-initiated execution requirements per replica.
   bool enforce_well_initiated = true;
 
@@ -150,8 +156,8 @@ struct BatchEngineOptions {
   /// blocks and the hot phases (fused pass, multiplicity recompute, visit
   /// bookkeeping) run block ranges on a pinned WorkerTeam.  Every parallel
   /// section writes only lane-indexed state and block-local move-log
-  /// regions are drained in block order, so results (stats, traces,
-  /// coverage) are bit-identical to threads == 1 at any thread count.
+  /// regions are drained in block order, so results (stats, coverage) are
+  /// bit-identical to threads == 1 at any thread count.
   /// 0 = one thread per physical core; 1 (default) = serial.
   std::uint32_t threads = 1;
 
@@ -159,7 +165,7 @@ struct BatchEngineOptions {
   /// and Engine's option of the same name).  A lane that proves a cycle
   /// has its horizon shrunk to the final partial period and retires into
   /// the existing ragged-horizon compaction; ineligible lanes (Bernoulli
-  /// activation, adaptive adversaries, tracing) run to their full horizon.
+  /// activation, adaptive adversaries) run to their full horizon.
   /// Per-replica results are bit-identical either way.
   FastForwardOptions fast_forward;
 };
@@ -207,9 +213,9 @@ struct BatchPlan {
 //
 // A seed group is one scenario (ring, model, horizon) run over many seeds.
 // run_seed_group is the single place that decides how: solo Engines or
-// BatchEngine chunks of plan_batch's width, and solo whenever the horizon
-// outgrows kMaxBatchHorizon.  Either route yields bit-identical per-seed
-// results.
+// BatchEngine chunks of plan_batch's width, and solo whenever the group is
+// traced or does not fit the batch's u32 visit cells (fits_batch).  Either
+// route yields bit-identical per-seed results.
 
 /// The scenario every seed of a group shares.
 struct SeedGroup {
@@ -224,6 +230,8 @@ struct SeedGroup {
   /// Intra-cell worker threads for batched chunks (BatchEngineOptions).
   std::uint32_t engine_threads = 1;
   bool fast_forward = false;
+  /// Record each seed's Trace.  Traced groups always run on solo Engines
+  /// (the BatchEngine records no traces), whatever max_batch says.
   bool record_trace = false;
 };
 
@@ -237,14 +245,14 @@ struct SeedRun {
 };
 
 /// One seed's results, valid only during the callback (the trace belongs
-/// to the engine that produced it).
+/// to the solo Engine that produced it).
 struct SeedResult {
   EngineStats stats;
   CoverageReport coverage;
   /// Rounds actually stepped when the cycle detector engaged; 0 = ran
   /// plain.
   Time rounds_simulated = 0;
-  /// Non-null iff group.record_trace.
+  /// Non-null iff group.record_trace (traced groups always run solo).
   const Trace* trace = nullptr;
   /// The seed's share of its engine's construct-and-run time (a batched
   /// chunk's time is split evenly over its seeds).
@@ -267,7 +275,10 @@ class BatchEngine {
               BatchEngineOptions options = {});
 
   /// One lock-step round (FSYNC/SSYNC) or tick (ASYNC) of every unfinished
-  /// replica, then compaction of replicas that reached their horizon.
+  /// replica — the same *_round functions run_all tiles, over
+  /// parallel_lane_slices — then compaction of replicas that reached their
+  /// horizon.  The batch records no trace; traced seed groups run on solo
+  /// Engines (run_seed_group).
   void step();
 
   /// Run until every replica reaches its horizon.
@@ -293,22 +304,16 @@ class BatchEngine {
   [[nodiscard]] Time detected_period(std::uint32_t replica) const;
   [[nodiscard]] NodeId robot_node(std::uint32_t replica, RobotId r) const;
   [[nodiscard]] Configuration snapshot(std::uint32_t replica) const;
-  /// Only valid when options.record_trace was set.
-  [[nodiscard]] const Trace& trace(std::uint32_t replica) const;
 
  private:
   void init_replica(std::uint32_t lane, BatchReplica& replica);
-  /// The TRACED step paths: global per-round barriers so the trace
-  /// recorder can read every lane's planes between the prologue and the
-  /// pass.  Untraced rounds go through the *_round functions below, which
-  /// are entirely lane-range-local and therefore tileable and threadable.
-  void step_fsync();
-  void step_ssync();
-  void step_async();
-  /// ONE untraced round of lanes [l0, l1) at time t — edge refill, pass,
-  /// boundary bookkeeping (multiplicity/occupancy, visits, mirrors, round
-  /// stats), touching no state outside the lane range.  This is the unit
-  /// the tiled run_all and the threaded slices both compose.
+  /// ONE round of lanes [l0, l1) at time t — edge refill, pass, boundary
+  /// bookkeeping (multiplicity/occupancy, visits, mirrors, round stats),
+  /// touching no state outside the lane range.  This is the unit step(),
+  /// the tiled run_all and the threaded slices all compose; model_round()
+  /// picks the model's.
+  template <KernelId Id>
+  void model_round(std::uint32_t l0, std::uint32_t l1, Time t);
   template <KernelId Id>
   void fsync_round(std::uint32_t l0, std::uint32_t l1, Time t);
   template <KernelId Id>
@@ -364,12 +369,6 @@ class BatchEngine {
   /// virtual-adversary path still speaks ActivationMask).
   void extract_lane_mask(const std::uint64_t* plane, std::uint32_t lane,
                          ActivationMask& out) const;
-  [[nodiscard]] bool mask_bit(const std::uint64_t* plane, std::uint32_t robot,
-                              std::uint32_t lane) const {
-    return (plane[std::size_t{robot} * lane_words_ + (lane >> 6)] >>
-            (lane & 63)) &
-           1ULL;
-  }
 
   /// Recompute the multiplicity byte plane and per-lane tower flags of
   /// lanes [l0, l1) from the node planes (replica-wide compares, or the
@@ -417,11 +416,6 @@ class BatchEngine {
   void retire_finished();
   void swap_lanes(std::uint32_t a, std::uint32_t b);
   [[nodiscard]] Configuration snapshot_lane(std::uint32_t lane) const;
-
-  // Trace reconstruction (cold path): records are rebuilt from the planes
-  // around the hot passes, so tracing costs nothing when off.
-  void begin_trace_round();
-  void end_trace_round();
 
   Ring ring_;
   ExecutionModel model_ = ExecutionModel::kFsync;
@@ -489,7 +483,7 @@ class BatchEngine {
 
   /// Visit bookkeeping of one (lane, node): one cache access per robot per
   /// boundary.  `last` is only meaningful when `count > 0`; 32 bits suffice
-  /// because batch horizons are checked against 2^32 at construction.
+  /// because every replica passes fits_batch at construction.
   struct VisitCell {
     std::uint32_t count = 0;
     std::uint32_t last = 0;
@@ -615,10 +609,6 @@ class BatchEngine {
   };
   bool ff_enabled_ = false;  // some lane is actually searching
   std::vector<LaneFf> ff_;
-
-  // Per-REPLICA traces (tracing only).
-  std::vector<std::unique_ptr<Trace>> traces_;
-  std::vector<RoundRecord> record_scratch_;  // per lane, reused
 };
 
 }  // namespace pef

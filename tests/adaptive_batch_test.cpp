@@ -10,13 +10,14 @@
 //     greedy-blocker) adversaries;
 //   * byte-identical sweep JSON across max_batch in {0, 1, 16, 256} and
 //     engine_threads in {1, 4};
-//   * horizons past the batch's u32 visit cells route to solo Engines in
-//     SweepRunner and pef_run --batch instead of aborting;
+//   * seed groups past the batch's u32 visit cells (fits_batch) route to
+//     solo Engines in SweepRunner, run_seed_group and pef_run --batch
+//     instead of aborting or wrapping their visit counts;
 //   * the pef_run CLI: --batch 1/2 route to solo Engines (and say so in the
 //     footer), --batch 16/auto to the BatchEngine, with per-seed table rows
 //     identical across the routes, --threads, and PEF_BATCH_ISA tiers.
 //
-// (batch_engine_test.cpp is the exhaustive trace-level differential at
+// (batch_engine_test.cpp is the exhaustive round-by-round differential at
 // B=10; this file covers the regimes that test cannot reach: multi-tile
 // widths, worker threads, the planner, and the CLI routing.)
 #include <gtest/gtest.h>
@@ -221,9 +222,10 @@ TEST(WideBatch, B256ThreadedMatchesSoloOnEveryModel) {
   }
 }
 
-TEST(WideBatch, TracedThreadedBatchMatchesSerial) {
-  // The traced path keeps global round barriers; threads may only change
-  // scheduling, never a single trace byte.
+TEST(WideBatch, ThreadedBatchMatchesSerialRoundByRound) {
+  // Threads may only change scheduling, never a single robot's state: a
+  // serial and a threaded batch step together through step() and must hold
+  // the same configuration after every round.
   constexpr std::uint32_t kNodes = 64;
   constexpr std::uint32_t kRobots = 4;
   constexpr std::uint32_t kBatch = 65;  // odd: exercises the tail block
@@ -243,34 +245,38 @@ TEST(WideBatch, TracedThreadedBatchMatchesSerial) {
           seed);
     }
     BatchEngineOptions options;
-    options.record_trace = true;
     options.threads = threads;
-    auto engine = std::make_unique<BatchEngine>(ring, ExecutionModel::kSsync,
-                                                std::move(replicas), options);
-    engine->run_all();
-    return engine;
+    return BatchEngine(ring, ExecutionModel::kSsync, std::move(replicas),
+                       options);
   };
 
-  const auto serial = build(1);
-  const auto threaded = build(4);
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
-    const Trace& a = serial->trace(b);
-    const Trace& c = threaded->trace(b);
-    ASSERT_EQ(a.rounds().size(), c.rounds().size()) << "replica " << b;
-    for (std::size_t t = 0; t < a.rounds().size(); ++t) {
-      const RoundRecord& ra = a.rounds()[t];
-      const RoundRecord& rc = c.rounds()[t];
-      ASSERT_EQ(ra.edges, rc.edges) << "replica " << b << " round " << t;
-      ASSERT_EQ(ra.robots.size(), rc.robots.size());
-      for (RobotId r = 0; r < ra.robots.size(); ++r) {
-        ASSERT_EQ(ra.robots[r].node_after, rc.robots[r].node_after)
-            << "replica " << b << " round " << t << " robot " << r;
-        ASSERT_EQ(ra.robots[r].dir_after, rc.robots[r].dir_after)
-            << "replica " << b << " round " << t << " robot " << r;
-        ASSERT_EQ(ra.robots[r].moved, rc.robots[r].moved)
-            << "replica " << b << " round " << t << " robot " << r;
+  BatchEngine serial = build(1);
+  BatchEngine threaded = build(4);
+  while (serial.active_replicas() > 0) {
+    serial.step();
+    threaded.step();
+    ASSERT_EQ(serial.active_replicas(), threaded.active_replicas());
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      const Configuration a = serial.snapshot(b);
+      const Configuration c = threaded.snapshot(b);
+      for (RobotId r = 0; r < kRobots; ++r) {
+        ASSERT_EQ(a.robot(r).node, c.robot(r).node)
+            << "replica " << b << " round " << serial.now() << " robot " << r;
+        ASSERT_EQ(a.robot(r).dir, c.robot(r).dir)
+            << "replica " << b << " round " << serial.now() << " robot " << r;
       }
     }
+  }
+  ASSERT_EQ(threaded.active_replicas(), 0u);
+  for (std::uint32_t b = 0; b < kBatch; ++b) {
+    SCOPED_TRACE("replica " + std::to_string(b));
+    expect_stats_equal(threaded.stats(b), serial.stats(b));
+    const CoverageReport a = serial.coverage_report(b);
+    const CoverageReport c = threaded.coverage_report(b);
+    EXPECT_EQ(c.visit_counts, a.visit_counts);
+    EXPECT_EQ(c.max_revisit_gap, a.max_revisit_gap);
+    EXPECT_EQ(c.max_closed_gap, a.max_closed_gap);
+    EXPECT_EQ(c.nodes_visited_in_suffix, a.nodes_visited_in_suffix);
   }
 }
 
@@ -308,8 +314,9 @@ TEST(AdaptiveBatch, SweepJsonIdenticalAcrossWidthsAndThreads) {
 }
 
 // A seed group wide enough to batch but with a horizon past the batch's u32
-// visit cells (kMaxBatchHorizon) must run on solo Engines (64-bit time) and produce exactly the unbatched
-// sweep's bytes.  Fast-forward keeps the 5e9-round cells to a few periods.
+// visit cells (fits_batch) must run on solo Engines (64-bit time) and
+// produce exactly the unbatched sweep's bytes.  Fast-forward keeps the
+// 5e9-round cells to a few periods.
 TEST(AdaptiveBatch, HorizonPastU32RoutesToSoloEngines) {
   SweepSpec spec;
   spec.algorithms = {"pef3+"};
@@ -334,6 +341,78 @@ TEST(AdaptiveBatch, HorizonPastU32RoutesToSoloEngines) {
     EXPECT_EQ(cell.rounds_covered, spec.horizon) << "seed " << cell.seed;
     EXPECT_TRUE(cell.perpetual) << "seed " << cell.seed;
   }
+}
+
+// A node collects up to robots x (horizon + 1) visits, so a horizon inside
+// 2^32 rounds can still overflow the batch's u32 visit counts.
+// keep-direction robots stall against the vanished edge of eventual-missing
+// and revisit the same nodes every round: at horizon 3e9 three robots push
+// counts toward 9e9.  Such a group must run on solo Engines (64-bit counts),
+// so the adaptive route and the forced-solo route report the same coverage.
+TEST(AdaptiveBatch, VisitCountsPastU32MatchTheSoloRoute) {
+  constexpr std::uint32_t kRobots = 3;
+  constexpr std::uint64_t kSeeds = 8;
+  for (const std::uint32_t n : {4u, 5u, 6u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Ring ring(n);
+    const auto run = [&](std::uint32_t max_batch) {
+      std::vector<CoverageReport> coverage(kSeeds);
+      run_seed_group(
+          {.ring = ring,
+           .robots = kRobots,
+           .model = ExecutionModel::kFsync,
+           .horizon = 3'000'000'000,
+           .seeds = kSeeds,
+           .max_batch = max_batch,
+           .fast_forward = true},
+          [&](std::uint64_t s) {
+            return SeedRun{
+                s + 1, make_algorithm("keep-direction", s + 1),
+                adversary_from_config(
+                    adversary_config(AdversaryKind::kEventualMissing), ring,
+                    s + 1, kRobots),
+                spread_placements(ring, kRobots)};
+          },
+          [&](std::uint64_t s, const SeedResult& result) {
+            coverage[s] = result.coverage;
+          });
+      return coverage;
+    };
+    const std::vector<CoverageReport> adaptive = run(0);
+    const std::vector<CoverageReport> solo = run(1);
+    for (std::uint64_t s = 0; s < kSeeds; ++s) {
+      SCOPED_TRACE("seed index " + std::to_string(s));
+      EXPECT_EQ(adaptive[s].visit_counts, solo[s].visit_counts);
+      EXPECT_EQ(adaptive[s].max_revisit_gap, solo[s].max_revisit_gap);
+      EXPECT_EQ(adaptive[s].nodes_visited_in_suffix,
+                solo[s].nodes_visited_in_suffix);
+      EXPECT_EQ(adaptive[s].horizon, solo[s].horizon);
+    }
+  }
+}
+
+TEST(AdaptiveBatch, FitsBatchBoundsEveryVisitCount) {
+  constexpr Time kU32 = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_TRUE(fits_batch(1, kU32 - 1));
+  EXPECT_FALSE(fits_batch(1, kU32));
+  // 3 x (horizon + 1) <= 2^32 - 1 == 3 x 1431655765.
+  EXPECT_TRUE(fits_batch(3, kU32 / 3 - 1));
+  EXPECT_FALSE(fits_batch(3, kU32 / 3));
+  EXPECT_FALSE(fits_batch(3, 3'000'000'000));
+  EXPECT_TRUE(fits_batch(64, 20'000));
+
+  // The constructor refuses a replica that does not fit.
+  const Ring ring(8);
+  const auto build = [&] {
+    std::vector<BatchReplica> replicas(1);
+    replicas[0].algorithm = make_algorithm("keep-direction", 1);
+    replicas[0].adversary =
+        make_oblivious(std::make_shared<StaticSchedule>(ring));
+    replicas[0].placements = spread_placements(ring, 3);
+    replicas[0].horizon = 3'000'000'000;
+    BatchEngine engine(ring, ExecutionModel::kFsync, std::move(replicas));
+  };
+  EXPECT_DEATH(build(), "fits_batch");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 // Differential tests for BatchEngine: a batch of B replicas must be
-// BIT-IDENTICAL to B independent Engine runs — traces, stats and coverage —
-// across every registry kernel, every execution model, adversary families
-// (oblivious and adaptive) and ragged per-replica horizons (early
-// termination compacts lanes out mid-run; the survivors must not notice).
+// BIT-IDENTICAL to B independent Engine runs — the configuration and stats
+// after every round, then final stats and coverage — across every registry
+// kernel, every execution model, adversary families (oblivious and
+// adaptive) and ragged per-replica horizons (early termination compacts
+// lanes out mid-run; the survivors must not notice).  The batch is driven
+// through the round functions production runs: step() round by round, and
+// the tiled run_all() epochs.
 #include "engine/batch_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -33,24 +36,18 @@ Time horizon_of(std::uint32_t replica) {
   return kBaseHorizon + 37 * (replica % 4);
 }
 
-void expect_same_round(const RoundRecord& actual, const RoundRecord& expected,
-                       Time t) {
-  ASSERT_EQ(actual.time, expected.time);
-  ASSERT_EQ(actual.edges, expected.edges) << "round " << t;
-  ASSERT_EQ(actual.robots.size(), expected.robots.size());
-  for (RobotId r = 0; r < expected.robots.size(); ++r) {
-    ASSERT_EQ(actual.robots[r].node_before, expected.robots[r].node_before)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].node_after, expected.robots[r].node_after)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].dir_before, expected.robots[r].dir_before)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].dir_after, expected.robots[r].dir_after)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].moved, expected.robots[r].moved)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].saw_other_robots,
-              expected.robots[r].saw_other_robots)
+/// Nodes, directions and chiralities of every robot (the state a round
+/// reads and writes; kernel memory shows up in the next rounds' moves).
+void expect_same_configuration(const Configuration& actual,
+                               const Configuration& expected, Time t) {
+  ASSERT_EQ(actual.robot_count(), expected.robot_count());
+  for (RobotId r = 0; r < expected.robot_count(); ++r) {
+    const RobotSnapshot& a = actual.robot(r);
+    const RobotSnapshot& e = expected.robot(r);
+    ASSERT_EQ(a.node, e.node) << "round " << t << " robot " << r;
+    ASSERT_EQ(a.dir, e.dir) << "round " << t << " robot " << r;
+    ASSERT_EQ(a.chirality.right_is_clockwise(),
+              e.chirality.right_is_clockwise())
         << "round " << t << " robot " << r;
   }
 }
@@ -77,9 +74,12 @@ void expect_same_coverage(const CoverageReport& actual,
 }
 
 /// Runs one (algorithm, model, scenario) batch against its B solo Engine
-/// twins and pins traces, stats, coverage and final configurations.
-/// `make_replica` and `make_engine` must construct the same scenario from
-/// the same seed (fresh objects each call).
+/// twins.  The batch and the solo Engines step together: after every round
+/// each live replica's configuration and stats must match its twin's, and
+/// at retirement its coverage too.  A second batch of the same replicas
+/// then runs through run_all() and must land on the same final stats and
+/// coverage.  `make_replica` and `make_engine` must construct the same
+/// scenario from the same seed (fresh objects each call).
 void run_differential(
     const std::string& label,
     const std::function<BatchReplica(std::uint32_t replica)>& make_replica,
@@ -87,42 +87,51 @@ void run_differential(
     ExecutionModel model) {
   SCOPED_TRACE(label);
   const Ring ring(kNodes);
-
-  std::vector<BatchReplica> replicas;
-  replicas.reserve(kBatch);
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
-    replicas.push_back(make_replica(b));
-  }
-  BatchEngineOptions options;
-  options.record_trace = true;
-  BatchEngine batch(ring, model, std::move(replicas), options);
-  ASSERT_EQ(batch.active_replicas(), kBatch);
-  batch.run_all();
-  ASSERT_EQ(batch.active_replicas(), 0u);
-
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
-    SCOPED_TRACE("replica " + std::to_string(b));
-    Engine solo = make_engine(b);
-    solo.run(horizon_of(b));
-
-    const Trace& batch_trace = batch.trace(b);
-    const Trace& solo_trace = solo.trace();
-    ASSERT_EQ(batch_trace.length(), solo_trace.length());
-    for (Time t = 0; t < solo_trace.length(); ++t) {
-      expect_same_round(batch_trace.rounds()[t], solo_trace.rounds()[t], t);
+  const auto make_batch = [&] {
+    std::vector<BatchReplica> replicas;
+    replicas.reserve(kBatch);
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      replicas.push_back(make_replica(b));
     }
-    expect_same_stats(batch.stats(b), solo.stats());
-    expect_same_coverage(batch.coverage_report(b), solo.coverage_report());
-    for (RobotId r = 0; r < kRobots; ++r) {
-      EXPECT_EQ(batch.robot_node(b, r), solo.robot_node(r)) << "robot " << r;
-    }
-  }
-}
+    return BatchEngine(ring, model, std::move(replicas));
+  };
 
-EngineOptions traced_engine_options() {
-  EngineOptions options;
-  options.record_trace = true;
-  return options;
+  std::vector<Engine> solo;
+  solo.reserve(kBatch);
+  for (std::uint32_t b = 0; b < kBatch; ++b) solo.push_back(make_engine(b));
+
+  BatchEngine stepped = make_batch();
+  ASSERT_EQ(stepped.active_replicas(), kBatch);
+  while (stepped.active_replicas() > 0) {
+    stepped.step();
+    std::uint32_t live = 0;
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      Engine& twin = solo[b];
+      if (twin.now() == horizon_of(b)) continue;  // retired earlier
+      SCOPED_TRACE("replica " + std::to_string(b));
+      twin.step();
+      expect_same_configuration(stepped.snapshot(b), twin.snapshot(),
+                                twin.now());
+      expect_same_stats(stepped.stats(b), twin.stats());
+      if (twin.now() < horizon_of(b)) {
+        ++live;
+      } else {
+        expect_same_coverage(stepped.coverage_report(b),
+                             twin.coverage_report());
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    ASSERT_EQ(stepped.active_replicas(), live) << "round " << stepped.now();
+  }
+
+  BatchEngine tiled = make_batch();
+  tiled.run_all();
+  ASSERT_EQ(tiled.active_replicas(), 0u);
+  for (std::uint32_t b = 0; b < kBatch; ++b) {
+    SCOPED_TRACE("run_all replica " + std::to_string(b));
+    expect_same_stats(tiled.stats(b), solo[b].stats());
+    expect_same_coverage(tiled.coverage_report(b), solo[b].coverage_report());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -178,8 +187,7 @@ TEST(BatchEngineFsyncTest, MatchesSoloEnginesAcrossRegistryAndAdversaries) {
             const std::uint64_t seed = b + 1;
             return Engine(ring, make_algorithm(algorithm, seed),
                           family.make(ring, seed),
-                          random_placements(ring, kRobots, seed),
-                          traced_engine_options());
+                          random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kFsync);
     }
@@ -245,8 +253,7 @@ TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
                           scenario.make_activation(seed),
-                          random_placements(ring, kRobots, seed),
-                          traced_engine_options());
+                          random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kSsync);
     }
@@ -310,8 +317,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
                           scenario.make_phases(seed),
-                          random_placements(ring, kRobots, seed),
-                          traced_engine_options());
+                          random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kAsync);
     }
@@ -322,12 +328,13 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
 // The batched round prologue, pinned through the standard wiring: every
 // registry kernel x {SSYNC(activation_p in {0.3, 1.0}), ASYNC} x batchable
 // AND non-batchable registry adversary kinds x 10 ragged-horizon seeds must
-// be trace-bit-identical to solo Engines.  This is the differential pin of
-// the mask/edge word planes: the devirtualized Bernoulli activation kernels
-// (p=0.3 sparse masks, p=1.0 full masks including the forced-nonempty
-// fallback path), the schedule-filled edge rows of the batchable kinds (no
-// Configuration mirror at all) and the lazily-mirrored virtual path of the
-// adaptive kinds all feed the same word-plane passes.
+// be bit-identical to solo Engines round by round.  This is the
+// differential pin of the mask/edge word planes: the devirtualized
+// Bernoulli activation kernels (p=0.3 sparse masks, p=1.0 full masks
+// including the forced-nonempty fallback path), the schedule-filled edge
+// rows of the batchable kinds (no Configuration mirror at all) and the
+// lazily-mirrored virtual path of the adaptive kinds all feed the same
+// word-plane passes.
 
 struct ModelCase {
   const char* name;
@@ -391,14 +398,12 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
                 return Engine(ring, make_algorithm(algorithm, seed),
                               std::move(adversary),
                               standard_ssync_activation(mc.activation_p, seed),
-                              random_placements(ring, kRobots, seed),
-                              traced_engine_options());
+                              random_placements(ring, kRobots, seed));
               }
               return Engine(ring, make_algorithm(algorithm, seed),
                             std::move(adversary),
                             standard_async_phases(mc.activation_p, seed),
-                            random_placements(ring, kRobots, seed),
-                            traced_engine_options());
+                            random_placements(ring, kRobots, seed));
             },
             mc.model);
       }
@@ -407,11 +412,11 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
 }
 
 // ---------------------------------------------------------------------------
-// The untraced fast path: stats and coverage still match solo runs (the
-// batch-throughput bench relies on exactly this equality), and ragged
+// A wider ring with more robots: stats and coverage still match solo runs
+// (the batch-throughput bench relies on exactly this equality), and ragged
 // horizons retire lanes at the right rounds.
 
-TEST(BatchEngineTest, UntracedStatsMatchSoloEngines) {
+TEST(BatchEngineTest, ManyRobotsStatsMatchSoloEngines) {
   const Ring ring(64);
   constexpr std::uint32_t kReplicas = 7;
   constexpr std::uint32_t kBots = 8;
@@ -469,10 +474,11 @@ TEST(BatchEngineTest, RaggedHorizonsRetireLanesOnSchedule) {
 }
 
 TEST(BatchEngineTest, RunBatteryBatchedMatchesSequentialRuns) {
-  // run_battery runs its seeds as one traced seed group: 2 seeds take the
-  // solo route, 4 the batched one.  Either way result s must be
-  // byte-identical to run_scenario at seed first_seed + s — random-walk
-  // included, whose walk is seeded per run, not from spec.seed.
+  // run_battery runs its seeds as one traced seed group, which always runs
+  // solo, whatever plan_batch would pick for an untraced group.  Result s
+  // must be byte-identical to run_scenario at seed first_seed + s —
+  // random-walk included, whose walk is seeded per run, not from
+  // spec.seed.
   for (const char* algorithm : {"pef3+", "random-walk"}) {
     for (const ExecutionModel model :
          {ExecutionModel::kFsync, ExecutionModel::kSsync,
@@ -480,7 +486,6 @@ TEST(BatchEngineTest, RunBatteryBatchedMatchesSequentialRuns) {
       for (const std::uint32_t seeds : {2u, 4u}) {
         SCOPED_TRACE(std::string(algorithm) + " " + to_string(model) + " " +
                      std::to_string(seeds) + " seeds");
-        ASSERT_EQ(plan_batch(model, 10, 3, seeds, 0).use_batch(), seeds == 4);
         ScenarioSpec spec;
         spec.nodes = 10;
         spec.robots = 3;
