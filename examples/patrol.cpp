@@ -11,7 +11,7 @@
 #include <string>
 
 #include "adversary/adversary.hpp"
-#include "algorithms/pef3plus.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/sentinels.hpp"
 #include "dynamic_graph/schedules.hpp"
@@ -32,7 +32,7 @@ int main() {
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       flicker, kJammedDoor, kJamTime);
 
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
 
   std::cout << "Patrolling " << kRooms

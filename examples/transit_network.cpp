@@ -15,7 +15,7 @@
 #include <string>
 
 #include "adversary/adversary.hpp"
-#include "algorithms/pef3plus.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/towers.hpp"
 #include "dynamic_graph/schedules.hpp"
@@ -48,7 +48,7 @@ int main() {
             << (diameter ? std::to_string(*diameter) : std::string(">500"))
             << " rounds\n";
 
-  Simulator periodic_run(ring, std::make_shared<Pef3Plus>(),
+  Simulator periodic_run(ring, make_algorithm("pef3+"),
                          make_oblivious(timetable),
                          spread_placements(ring, 3));
   periodic_run.run(kHorizon);
@@ -63,7 +63,7 @@ int main() {
   constexpr EdgeId kClosedSegment = 4;
   auto with_closure = std::make_shared<EventualMissingEdgeSchedule>(
       timetable, kClosedSegment, /*vanish_time=*/100);
-  Simulator closure_run(ring, std::make_shared<Pef3Plus>(),
+  Simulator closure_run(ring, make_algorithm("pef3+"),
                         make_oblivious(with_closure),
                         spread_placements(ring, 3));
   closure_run.run(kHorizon);

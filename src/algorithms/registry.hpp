@@ -10,10 +10,7 @@
 
 namespace pef {
 
-/// Construct an algorithm by name.  Known names:
-///   "pef3+", "pef2", "pef1",
-///   "keep-direction", "bounce", "random-walk", "oscillating",
-///   "pef3+-no-rule2", "pef3+-no-rule3"
+/// Construct an algorithm by registry name (algorithm_names() lists them).
 /// `seed` feeds randomized baselines; paper algorithms ignore it.
 /// Aborts (PEF_CHECK) on unknown names.
 [[nodiscard]] AlgorithmPtr make_algorithm(const std::string& name,

@@ -73,6 +73,8 @@ class Xoshiro256 {
     return state_;
   }
 
+  friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -229,8 +229,8 @@ MirrorReport replay_and_verify(const Construction& construction,
                 {construction.r1, construction.r2});
   sim.run(t);
   // Snapshot the robot states exactly at time t (Claim 4 compares them).
-  const std::string state_r1_at_t = sim.robot(0).state().to_string();
-  const std::string state_r2_at_t = sim.robot(1).state().to_string();
+  const KernelState state_r1_at_t = sim.robot(0).state();
+  const KernelState state_r2_at_t = sim.robot(1).state();
   sim.run(extra_rounds);
   const Trace& mirrored = sim.trace();
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "dynamic_graph/schedules.hpp"
+#include "robot/algorithm.hpp"
 #include "robot/robot.hpp"
 #include "scheduler/trace.hpp"
 

@@ -94,6 +94,7 @@
 #include "robot/algorithm.hpp"
 #include "robot/kernel.hpp"
 #include "robot/robot.hpp"
+#include "robot/view.hpp"
 #include "scheduler/async.hpp"
 #include "scheduler/ssync.hpp"
 #include "scheduler/trace.hpp"

@@ -10,13 +10,13 @@
 //           Look / Compute / Move machine one phase per tick, with
 //           possibly-stale views (reference: AsyncSimulator).
 //
-// Compute always runs the algorithm's devirtualized kernel
-// (robot/kernel.hpp, algorithms/kernels.hpp): enum-dispatched compute over
-// POD state held in one contiguous vector.  The reference engines run the
-// virtual Algorithm twins; differential tests (tests/fast_engine_test.cpp
-// and tests/unified_engine_test.cpp) pin every model to its reference
-// engine round-by-round, so the engine is interchangeable with them — just
-// faster:
+// Compute runs the algorithm's kernel (robot/kernel.hpp,
+// algorithms/kernels.hpp): enum-dispatched compute over POD state held in
+// one contiguous vector, dispatched once per round.  The reference engines
+// run the same kernel one robot at a time; differential tests
+// (tests/fast_engine_test.cpp and tests/unified_engine_test.cpp) pin every
+// model's round machinery to its reference engine round-by-round, so the
+// engine is interchangeable with them — just faster:
 //
 //   * struct-of-arrays robot state: parallel vectors for node, local dir,
 //     chirality and POD kernel memory;
@@ -47,6 +47,7 @@
 #include "robot/algorithm.hpp"
 #include "robot/kernel.hpp"
 #include "robot/robot.hpp"
+#include "robot/view.hpp"
 #include "scheduler/async.hpp"
 #include "scheduler/ssync.hpp"
 #include "scheduler/trace.hpp"

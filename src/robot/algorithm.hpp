@@ -1,67 +1,38 @@
-// The deterministic robot algorithm interface (the Compute phase).
+// A robot algorithm: a display name plus the KernelSpec of its Compute
+// phase.
 //
-// Robots are uniform: one Algorithm instance is shared by every robot, and
-// each robot owns an AlgorithmState (its persistent memory).  The Compute
-// phase may flip the robot's `dir` variable based only on the Look-phase
-// View and the robot's own state — matching the paper's model exactly: no
-// IDs, no communication, no global knowledge.
+// Robots are uniform: one Algorithm is shared by every robot, and each
+// robot owns a KernelState (its persistent memory).  The Compute phase may
+// flip the robot's `dir` variable based only on the Look-phase View and the
+// robot's own state — matching the paper's model exactly: no IDs, no
+// communication, no global knowledge.  The rules themselves are the
+// kernel_compute cases in algorithms/kernels.hpp; every simulator and
+// engine runs them from the KernelSpec held here.  Construct registry
+// algorithms by name with make_algorithm (algorithms/registry.hpp).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 
-#include "common/types.hpp"
 #include "robot/kernel.hpp"
-#include "robot/view.hpp"
 
 namespace pef {
 
-/// Persistent per-robot memory.  Concrete algorithms subclass this; the
-/// simulator treats it as an opaque blob (it can clone it for trace
-/// snapshots and stringify it for debugging).
-class AlgorithmState {
- public:
-  virtual ~AlgorithmState() = default;
-
-  [[nodiscard]] virtual std::unique_ptr<AlgorithmState> clone() const = 0;
-
-  /// Human-readable dump for traces and test failures.
-  [[nodiscard]] virtual std::string to_string() const = 0;
-};
-
-/// Trivial state for memoryless (oblivious) algorithms.
-class EmptyState final : public AlgorithmState {
- public:
-  [[nodiscard]] std::unique_ptr<AlgorithmState> clone() const override {
-    return std::make_unique<EmptyState>();
-  }
-  [[nodiscard]] std::string to_string() const override { return "{}"; }
-};
-
 class Algorithm {
  public:
-  virtual ~Algorithm() = default;
+  Algorithm(std::string name, KernelSpec kernel)
+      : name_(std::move(name)), kernel_(kernel) {}
 
-  [[nodiscard]] virtual std::string name() const = 0;
+  /// Display name, written into run results (e.g. "oscillating(4)").
+  [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Fresh persistent memory for one robot.  `robot_index` exists only so
-  /// that *non-paper* randomized baselines can derive independent streams;
-  /// paper algorithms ignore it (robots are anonymous and uniform).
-  [[nodiscard]] virtual std::unique_ptr<AlgorithmState> make_state(
-      RobotId robot_index) const = 0;
+  /// The kernel every simulator and engine runs for this algorithm.
+  [[nodiscard]] const KernelSpec& kernel() const { return kernel_; }
 
-  /// The Compute phase: may flip `dir` (the robot's direction variable, in
-  /// the robot's local frame) and update `state`.  `view` is the Look-phase
-  /// snapshot taken with the *incoming* value of `dir`.
-  virtual void compute(const View& view, LocalDirection& dir,
-                       AlgorithmState& state) const = 0;
-
-  /// The algorithm's devirtualized twin: the KernelSpec the production
-  /// engines (Engine, BatchEngine) run through the enum-dispatched POD
-  /// compute path (algorithms/kernels.hpp).  Must be behaviourally
-  /// identical to compute() — differential tests against the reference
-  /// simulators, which run compute(), enforce it.
-  [[nodiscard]] virtual KernelSpec kernel() const = 0;
+ private:
+  std::string name_;
+  KernelSpec kernel_;
 };
 
 using AlgorithmPtr = std::shared_ptr<const Algorithm>;

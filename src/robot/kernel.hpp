@@ -1,21 +1,18 @@
-// The devirtualized algorithm-kernel API.
+// The algorithm-kernel API.
 //
-// Every registry algorithm exists in two forms: the canonical virtual
-// `Algorithm` (heap AlgorithmState, virtual compute — the reference the
-// proofs are read against, run by the reference simulators) and its kernel
-// twin: an enum-dispatched compute function over POD per-robot state, the
-// only Compute path the production engines (Engine, BatchEngine) run.  A
+// Every registry algorithm is one kernel: an enum-dispatched compute
+// function over POD per-robot state (the cases of kernel_compute in
+// algorithms/kernels.hpp).  It is the only Compute path there is: the
+// production engines (Engine, BatchEngine) lift its dispatch out of their
+// round loops, and the reference simulators call it once per robot.  A
 // kernel is identified by a KernelSpec — the KernelId plus the few scalar
 // parameters (seed, period) a family needs — and its whole per-robot memory
 // is one fixed-size KernelState, so an engine stores all robot memories in
-// a single contiguous vector: no unique_ptr chase, no virtual call, per
-// round.
+// a single contiguous vector: no pointer chase, no virtual call, per round.
 //
-// Differential tests pin every kernel to its virtual twin bit-for-bit: the
-// engines against the reference simulators round by round
-// (tests/unified_engine_test.cpp), and each rule on the same views
-// (tests/compute_twin.hpp).  The kernel implementations themselves live in
-// algorithms/kernels.hpp.
+// Hand-written truth tables taken from the paper's rules pin every kernel
+// (tests/kernels_test.cpp); the differential tests pin the engines' round
+// machinery to the reference simulators (tests/unified_engine_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +22,7 @@
 
 namespace pef {
 
-/// One value per registry algorithm (virtual twins listed in
+/// One value per registry algorithm (names and display names listed in
 /// algorithms/registry.cpp).
 enum class KernelId : std::uint8_t {
   kKeepDirection = 0,
@@ -67,8 +64,8 @@ enum class KernelId : std::uint8_t {
 /// engine keeps one per run and dispatches on `id` each Compute.
 struct KernelSpec {
   KernelId id = KernelId::kKeepDirection;
-  /// Master seed for randomized kernels (random-walk); robots derive their
-  /// per-robot streams from it exactly like the virtual twin's make_state.
+  /// Master seed for randomized kernels (random-walk); init_kernel_state
+  /// derives each robot's stream from it.
   std::uint64_t seed = 0;
   /// Turn period for oscillating.
   std::uint64_t period = 0;
@@ -89,6 +86,8 @@ struct KernelState {
   Xoshiro256 rng{0};             // random-walk
   std::uint64_t counter = 0;     // oscillating: rounds since last turn
   std::uint8_t has_moved = 0;    // pef3+ family: HasMovedPreviousStep
+
+  friend bool operator==(const KernelState&, const KernelState&) = default;
 };
 
 }  // namespace pef

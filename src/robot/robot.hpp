@@ -1,13 +1,10 @@
-// One robot as tracked by the simulator: placement + model variables +
-// opaque algorithm memory.
+// One robot as tracked by the reference simulators: placement + model
+// variables + kernel memory.
 #pragma once
 
-#include <memory>
-#include <string>
-
 #include "common/types.hpp"
-#include "robot/algorithm.hpp"
 #include "robot/chirality.hpp"
+#include "robot/kernel.hpp"
 
 namespace pef {
 
@@ -20,17 +17,10 @@ struct RobotPlacement {
 
 class Robot {
  public:
-  Robot(RobotId id, RobotPlacement placement,
-        std::unique_ptr<AlgorithmState> state)
-      : id_(id),
-        node_(placement.node),
-        chirality_(placement.chirality),
-        state_(std::move(state)) {}
-
-  Robot(Robot&&) noexcept = default;
-  Robot& operator=(Robot&&) noexcept = default;
-  Robot(const Robot&) = delete;
-  Robot& operator=(const Robot&) = delete;
+  /// The kernel memory starts default-constructed; the simulator fills it
+  /// with init_kernel_state (algorithms/kernels.hpp).
+  Robot(RobotId id, RobotPlacement placement)
+      : id_(id), node_(placement.node), chirality_(placement.chirality) {}
 
   [[nodiscard]] RobotId id() const { return id_; }
   [[nodiscard]] NodeId node() const { return node_; }
@@ -43,8 +33,8 @@ class Robot {
     return chirality_.to_global(dir_);
   }
 
-  [[nodiscard]] AlgorithmState& state() { return *state_; }
-  [[nodiscard]] const AlgorithmState& state() const { return *state_; }
+  [[nodiscard]] KernelState& state() { return state_; }
+  [[nodiscard]] const KernelState& state() const { return state_; }
 
   void set_node(NodeId node) { node_ = node; }
   void set_dir(LocalDirection dir) { dir_ = dir; }
@@ -54,7 +44,7 @@ class Robot {
   NodeId node_;
   Chirality chirality_;
   LocalDirection dir_ = LocalDirection::kLeft;
-  std::unique_ptr<AlgorithmState> state_;
+  KernelState state_;
 };
 
 }  // namespace pef

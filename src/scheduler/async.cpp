@@ -1,5 +1,6 @@
 #include "scheduler/async.hpp"
 
+#include "algorithms/kernels.hpp"
 #include "common/check.hpp"
 
 namespace pef {
@@ -20,8 +21,8 @@ AsyncSimulator::AsyncSimulator(Ring ring, AlgorithmPtr algorithm,
   robots_.reserve(placements.size());
   for (std::size_t i = 0; i < placements.size(); ++i) {
     PEF_CHECK(ring_.is_valid_node(placements[i].node));
-    robots_.emplace_back(static_cast<RobotId>(i), placements[i],
-                         algorithm_->make_state(static_cast<RobotId>(i)));
+    Robot& r = robots_.emplace_back(static_cast<RobotId>(i), placements[i]);
+    init_kernel_state(algorithm_->kernel(), r.id(), r.state());
   }
   phases_.assign(robots_.size(), Phase::kLook);
   pending_views_.assign(robots_.size(), View{});
@@ -87,7 +88,8 @@ RoundRecord AsyncSimulator::step() {
       }
       case Phase::kCompute: {
         LocalDirection dir = r.dir();
-        algorithm_->compute(pending_views_[i], dir, r.state());
+        kernel_compute(algorithm_->kernel(), pending_views_[i], dir,
+                       r.state());
         r.set_dir(dir);
         rec.dir_after = dir;
         phases_[i] = Phase::kMove;

@@ -27,6 +27,7 @@
 #include "common/types.hpp"
 #include "robot/algorithm.hpp"
 #include "robot/robot.hpp"
+#include "robot/view.hpp"
 #include "scheduler/ssync.hpp"
 #include "scheduler/trace.hpp"
 

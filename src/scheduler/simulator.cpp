@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algorithms/kernels.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
@@ -33,8 +34,8 @@ Simulator::Simulator(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
   robots_.reserve(placements.size());
   for (std::size_t i = 0; i < placements.size(); ++i) {
     PEF_CHECK(ring_.is_valid_node(placements[i].node));
-    robots_.emplace_back(static_cast<RobotId>(i), placements[i],
-                         algorithm_->make_state(static_cast<RobotId>(i)));
+    Robot& r = robots_.emplace_back(static_cast<RobotId>(i), placements[i]);
+    init_kernel_state(algorithm_->kernel(), r.id(), r.state());
   }
 
   trace_ = std::make_unique<Trace>(ring_, snapshot());
@@ -48,7 +49,6 @@ Configuration Simulator::snapshot() const {
     s.node = r.node();
     s.dir = r.dir();
     s.chirality = r.chirality();
-    if (options_.snapshot_states) s.state_repr = r.state().to_string();
     snaps.push_back(std::move(s));
   }
   return Configuration(ring_, std::move(snaps));
@@ -86,7 +86,7 @@ RoundRecord Simulator::step() {
   for (RobotId i = 0; i < robots_.size(); ++i) {
     Robot& r = robots_[i];
     LocalDirection dir = r.dir();
-    algorithm_->compute(views[i], dir, r.state());
+    kernel_compute(algorithm_->kernel(), views[i], dir, r.state());
     r.set_dir(dir);
     record.robots[i].dir_after = dir;
   }

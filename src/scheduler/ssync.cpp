@@ -1,5 +1,6 @@
 #include "scheduler/ssync.hpp"
 
+#include "algorithms/kernels.hpp"
 #include "common/check.hpp"
 
 namespace pef {
@@ -53,8 +54,8 @@ SsyncSimulator::SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
   robots_.reserve(placements.size());
   for (std::size_t i = 0; i < placements.size(); ++i) {
     PEF_CHECK(ring_.is_valid_node(placements[i].node));
-    robots_.emplace_back(static_cast<RobotId>(i), placements[i],
-                         algorithm_->make_state(static_cast<RobotId>(i)));
+    Robot& r = robots_.emplace_back(static_cast<RobotId>(i), placements[i]);
+    init_kernel_state(algorithm_->kernel(), r.id(), r.state());
   }
   trace_ = std::make_unique<Trace>(ring_, snapshot());
 }
@@ -103,7 +104,7 @@ RoundRecord SsyncSimulator::step() {
     record.robots[i].saw_other_robots = view.other_robots_on_node;
 
     LocalDirection dir = r.dir();
-    algorithm_->compute(view, dir, r.state());
+    kernel_compute(algorithm_->kernel(), view, dir, r.state());
     r.set_dir(dir);
     record.robots[i].dir_after = dir;
 

@@ -461,6 +461,16 @@ constexpr const char* kCliScenario =
     "--nodes 48 --robots 4 --algorithm pef3+ --adversary static "
     "--model fsync --horizon 400";
 
+TEST(PefRunCli, HelpListsEveryRegistryAlgorithm) {
+  const std::string out = run_cli(pef_run_cmd("--help"));
+  ASSERT_NE(out.find("--algorithm A"), std::string::npos) << out;
+  for (const std::string& name : algorithm_names()) {
+    EXPECT_NE(out.find(" " + name + "\n"), std::string::npos)
+        << name << " missing from --help:\n"
+        << out;
+  }
+}
+
 TEST(PefRunCli, BatchOneRoutesToSoloEngine) {
   const std::string out =
       run_cli(pef_run_cmd(std::string(kCliScenario) + " --batch 1"));

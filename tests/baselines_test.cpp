@@ -1,16 +1,14 @@
 // Tests for the baseline algorithms and the registry — including the
 // characteristic *failures* that motivate the paper's rules.  The
-// compute-level cases drive each virtual baseline and its kernel on the
-// same views (compute_twin.hpp).
-#include "algorithms/baselines.hpp"
-
+// compute-level cases drive each baseline's kernel on hand-picked views
+// (kernel_robot.hpp).
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
 #include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
-#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
+#include "kernel_robot.hpp"
 #include "scheduler/simulator.hpp"
 
 namespace pef {
@@ -20,17 +18,25 @@ TEST(RegistryTest, AllNamesConstruct) {
   for (const std::string& name : algorithm_names()) {
     const AlgorithmPtr algo = make_algorithm(name, 7);
     ASSERT_NE(algo, nullptr) << name;
-    EXPECT_FALSE(algo->name().empty());
-    auto state = algo->make_state(0);
-    ASSERT_NE(state, nullptr);
-    EXPECT_FALSE(state->to_string().empty());
+    // The display name is the registry name, except oscillating's, which
+    // carries its period into run results.
+    EXPECT_EQ(algo->name(), name == "oscillating" ? "oscillating(4)" : name);
+    EXPECT_EQ(to_string(algo->kernel().id), name);
   }
+  // Only random-walk draws on the seed; every other kernel ignores it.
+  EXPECT_EQ(make_algorithm("random-walk", 7)->kernel().seed, 7u);
+  EXPECT_EQ(make_algorithm("pef3+", 7)->kernel().seed, 0u);
+  EXPECT_EQ(make_algorithm("oscillating")->kernel().period, 4u);
 }
 
 TEST(RegistryTest, DeterministicListExcludesRandomWalk) {
   for (const std::string& name : deterministic_algorithm_names()) {
     EXPECT_NE(name, "random-walk");
   }
+  // Every other registry entry, in registry order.
+  std::vector<std::string> expected = algorithm_names();
+  std::erase(expected, "random-walk");
+  EXPECT_EQ(deterministic_algorithm_names(), expected);
 }
 
 TEST(RegistryDeathTest, UnknownNameAborts) {
@@ -39,8 +45,7 @@ TEST(RegistryDeathTest, UnknownNameAborts) {
 }
 
 TEST(KeepDirectionTest, NeverChangesDirection) {
-  const KeepDirection algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("keep-direction"));
   for (int ahead = 0; ahead < 2; ++ahead) {
     for (int behind = 0; behind < 2; ++behind) {
       for (int others = 0; others < 2; ++others) {
@@ -57,7 +62,7 @@ TEST(KeepDirectionTest, NeverChangesDirection) {
 TEST(KeepDirectionTest, ExploresStaticButNotEventualMissing) {
   const Ring ring(6);
   {
-    Simulator sim(ring, std::make_shared<KeepDirection>(),
+    Simulator sim(ring, make_algorithm("keep-direction"),
                   make_oblivious(std::make_shared<StaticSchedule>(ring)),
                   spread_placements(ring, 3));
     sim.run(200);
@@ -67,7 +72,7 @@ TEST(KeepDirectionTest, ExploresStaticButNotEventualMissing) {
     // One eventual missing edge starves it: every robot eventually camps.
     auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
         std::make_shared<StaticSchedule>(ring), 0, 8);
-    Simulator sim(ring, std::make_shared<KeepDirection>(),
+    Simulator sim(ring, make_algorithm("keep-direction"),
                   make_oblivious(schedule), spread_placements(ring, 3));
     sim.run(600);
     EXPECT_FALSE(analyze_coverage(sim.trace()).perpetual(6));
@@ -75,8 +80,7 @@ TEST(KeepDirectionTest, ExploresStaticButNotEventualMissing) {
 }
 
 TEST(BounceTest, TurnsOnlyWhenBlockedAndOtherSideOpen) {
-  const BounceOnMissing algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("bounce"));
   View v;
   v.exists_edge_ahead = false;
   v.exists_edge_behind = false;
@@ -93,16 +97,16 @@ TEST(BounceTest, LivelocksAcrossEventualMissingEdgeWithOneRobot) {
   const Ring ring(5);
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), 2, 4);
-  Simulator sim(ring, std::make_shared<BounceOnMissing>(),
+  Simulator sim(ring, make_algorithm("bounce"),
                 make_oblivious(schedule), {{0, Chirality(true)}});
   sim.run(400);
   EXPECT_TRUE(analyze_coverage(sim.trace()).perpetual(5));
 }
 
 TEST(RandomWalkTest, PerRobotStreamsDiffer) {
-  const RandomWalk algo(42);
-  ComputeTwin robot0(algo, 0);
-  ComputeTwin robot1(algo, 1);
+  const AlgorithmPtr algo = make_algorithm("random-walk", 42);
+  KernelRobot robot0(*algo, 0);
+  KernelRobot robot1(*algo, 1);
   // Feed both the same views; their decisions must diverge eventually.
   View v;
   v.exists_edge_ahead = true;
@@ -116,7 +120,7 @@ TEST(RandomWalkTest, PerRobotStreamsDiffer) {
 
 TEST(RandomWalkTest, EventuallyCoversStaticRing) {
   const Ring ring(6);
-  Simulator sim(ring, std::make_shared<RandomWalk>(9),
+  Simulator sim(ring, make_algorithm("random-walk", 9),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 {{0, Chirality(true)}});
   sim.run(5000);
@@ -124,8 +128,9 @@ TEST(RandomWalkTest, EventuallyCoversStaticRing) {
 }
 
 TEST(OscillatingTest, TurnsEveryPeriod) {
-  const Oscillating algo(3);
-  ComputeTwin robot(algo);
+  const Algorithm algo("oscillating(3)",
+                       KernelSpec{KernelId::kOscillating, 0, 3});
+  KernelRobot robot(algo);
   View v;
   v.exists_edge_ahead = true;
   v.exists_edge_behind = true;
@@ -139,7 +144,7 @@ TEST(OscillatingTest, PatrolsOnlyASegmentOfBigRings) {
   // Period-4 oscillation confines a lone robot to a small arc: it cannot
   // explore a 12-ring even with every edge present.
   const Ring ring(12);
-  Simulator sim(ring, std::make_shared<Oscillating>(4),
+  Simulator sim(ring, make_algorithm("oscillating"),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 {{0, Chirality(true)}});
   sim.run(1000);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
-#include "algorithms/baselines.hpp"
+#include "algorithms/registry.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -12,7 +12,7 @@ namespace pef {
 namespace {
 
 Simulator single_walker(std::uint32_t n, SchedulePtr schedule) {
-  return Simulator(Ring(n), std::make_shared<KeepDirection>(),
+  return Simulator(Ring(n), make_algorithm("keep-direction"),
                    make_oblivious(std::move(schedule)),
                    {{0, Chirality(true)}});
 }
@@ -85,7 +85,7 @@ TEST(CoverageTest, VisitTimesOfNode) {
 
 TEST(CoverageTest, MultipleRobotsShareCoverage) {
   const Ring ring(8);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 spread_placements(ring, 4));
   sim.run(2);  // one step suffices: 4 old + 4 new positions cover all 8

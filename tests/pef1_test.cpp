@@ -1,13 +1,12 @@
 // Tests for PEF_1 (Section 5.2): one robot on a 2-node
 // connected-over-time ring (multigraph or chain).
-#include "algorithms/pef1.hpp"
-
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
-#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
+#include "kernel_robot.hpp"
 #include "scheduler/simulator.hpp"
 
 namespace pef {
@@ -21,31 +20,26 @@ View make_view(bool ahead, bool behind) {
   return v;
 }
 
-// Each case drives the virtual Pef1 and its kernel on the same views.
-
 TEST(Pef1ComputeTest, PointsToPresentEdge) {
-  const Pef1 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef1"));
   EXPECT_EQ(robot.compute(make_view(false, true)), LocalDirection::kRight);
 }
 
 TEST(Pef1ComputeTest, KeepsPointedPresentEdge) {
-  const Pef1 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef1"));
   EXPECT_EQ(robot.compute(make_view(true, true)), LocalDirection::kLeft);
   EXPECT_EQ(robot.compute(make_view(true, false)), LocalDirection::kLeft);
 }
 
 TEST(Pef1ComputeTest, KeepsDirectionWhenNothingPresent) {
-  const Pef1 algo;
-  ComputeTwin robot(algo, 0, LocalDirection::kRight);
+  KernelRobot robot(*make_algorithm("pef1"), 0, LocalDirection::kRight);
   EXPECT_EQ(robot.compute(make_view(false, false)), LocalDirection::kRight);
 }
 
 // --- Behavioural tests (Theorem 5.2) --------------------------------------
 
 Simulator make_sim(SchedulePtr schedule) {
-  return Simulator(Ring(2), std::make_shared<Pef1>(),
+  return Simulator(Ring(2), make_algorithm("pef1"),
                    make_oblivious(std::move(schedule)),
                    {{0, Chirality(true)}});
 }

@@ -1,13 +1,12 @@
 // Tests for PEF_2 (Section 4.2): two robots on a 3-node
 // connected-over-time ring.
-#include "algorithms/pef2.hpp"
-
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
-#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
+#include "kernel_robot.hpp"
 #include "scheduler/simulator.hpp"
 
 namespace pef {
@@ -21,11 +20,8 @@ View make_view(bool ahead, bool behind, bool others) {
   return v;
 }
 
-// Each case drives the virtual Pef2 and its kernel on the same views.
-
 TEST(Pef2ComputeTest, PointsToUniquePresentEdge) {
-  const Pef2 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef2"));
   // Only the behind edge present and isolated -> turn to it.
   EXPECT_EQ(robot.compute(make_view(false, true, false)),
             LocalDirection::kRight);
@@ -35,15 +31,13 @@ TEST(Pef2ComputeTest, PointsToUniquePresentEdge) {
 }
 
 TEST(Pef2ComputeTest, KeepsDirectionWhenBothPresent) {
-  const Pef2 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef2"));
   EXPECT_EQ(robot.compute(make_view(true, true, false)),
             LocalDirection::kLeft);
 }
 
 TEST(Pef2ComputeTest, KeepsDirectionWhenNonePresent) {
-  const Pef2 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef2"));
   EXPECT_EQ(robot.compute(make_view(false, false, false)),
             LocalDirection::kLeft);
 }
@@ -51,8 +45,7 @@ TEST(Pef2ComputeTest, KeepsDirectionWhenNonePresent) {
 TEST(Pef2ComputeTest, KeepsDirectionInTower) {
   // "or the other robot is present on the same node" -> keep direction,
   // even with a unique present edge behind.
-  const Pef2 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef2"));
   EXPECT_EQ(robot.compute(make_view(false, true, true)),
             LocalDirection::kLeft);
 }
@@ -62,7 +55,7 @@ TEST(Pef2ComputeTest, KeepsDirectionInTower) {
 Simulator make_sim(SchedulePtr schedule,
                    std::vector<RobotPlacement> placements = {
                        {0, Chirality(true)}, {1, Chirality(true)}}) {
-  return Simulator(Ring(3), std::make_shared<Pef2>(),
+  return Simulator(Ring(3), make_algorithm("pef2"),
                    make_oblivious(std::move(schedule)), placements);
 }
 

@@ -2,17 +2,15 @@
 // (plus the rule-level behaviour of the no-rule2 / no-rule3 ablations), and
 // the behaviours proved in Section 3 (sentinel formation, tower lemmas,
 // perpetual exploration).
-#include "algorithms/pef3plus.hpp"
-
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
-#include "algorithms/ablations.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/sentinels.hpp"
 #include "analysis/towers.hpp"
-#include "compute_twin.hpp"
 #include "dynamic_graph/schedules.hpp"
+#include "kernel_robot.hpp"
 #include "scheduler/simulator.hpp"
 
 namespace pef {
@@ -26,19 +24,13 @@ View make_view(bool ahead, bool behind, bool others) {
   return v;
 }
 
-// Each compute case drives the virtual algorithm and its kernel on the same
-// views; has_moved() reads the twin's HasMovedPreviousStep from both forms.
-
-bool has_moved(const ComputeTwin& robot) {
-  const bool virtual_flag =
-      static_cast<const Pef3PlusState&>(robot.state()).has_moved_previous_step;
-  EXPECT_EQ(robot.kernel_state().has_moved != 0, virtual_flag);
-  return virtual_flag;
+// has_moved() reads the robot's HasMovedPreviousStep.
+bool has_moved(const KernelRobot& robot) {
+  return robot.state().has_moved != 0;
 }
 
 TEST(Pef3PlusComputeTest, Rule1KeepsDirectionWhenAlone) {
-  const Pef3Plus algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+"));
   EXPECT_EQ(robot.compute(make_view(true, true, false)),
             LocalDirection::kLeft);
   EXPECT_TRUE(has_moved(robot));
@@ -46,8 +38,7 @@ TEST(Pef3PlusComputeTest, Rule1KeepsDirectionWhenAlone) {
 
 TEST(Pef3PlusComputeTest, Rule2SentinelKeepsDirection) {
   // Did NOT move last round (edge was absent), now in a tower: keep dir.
-  const Pef3Plus algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+"));
   // Round 1: alone, pointed edge absent -> has_moved becomes false.
   EXPECT_EQ(robot.compute(make_view(false, true, false)),
             LocalDirection::kLeft);
@@ -58,8 +49,7 @@ TEST(Pef3PlusComputeTest, Rule2SentinelKeepsDirection) {
 }
 
 TEST(Pef3PlusComputeTest, Rule3ArrivingRobotTurnsBack) {
-  const Pef3Plus algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+"));
   // Round 1: alone, pointed edge present -> moves (has_moved = true).
   robot.compute(make_view(true, true, false));
   // Round 2: lands on a tower: Rule 3 turns it back.
@@ -70,8 +60,7 @@ TEST(Pef3PlusComputeTest, Rule3ArrivingRobotTurnsBack) {
 TEST(Pef3PlusComputeTest, HasMovedTracksUpdatedDirection) {
   // After the Rule 3 flip, line 4 evaluates ExistsEdge against the *new*
   // direction.
-  const Pef3Plus algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+"));
   robot.compute(make_view(true, true, false));  // moved
   // Tower; ahead (old dir) present, behind (new dir) absent: flips, then
   // records that it will NOT move.
@@ -84,13 +73,12 @@ TEST(Pef3PlusComputeTest, HasMovedTracksUpdatedDirection) {
             LocalDirection::kRight);
 }
 
-// The ablations (algorithms/ablations.hpp) at the rule level.
+// The ablations (pef3+-no-rule2 / pef3+-no-rule3) at the rule level.
 
 TEST(Pef3PlusNoRule2ComputeTest, SentinelTurnsBackWithoutTheHasMovedGuard) {
   // The Rule 2 scenario above: a robot that did NOT move sees a tower.
   // Without the guard it abandons its post.
-  const Pef3PlusNoRule2 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+-no-rule2"));
   EXPECT_EQ(robot.compute(make_view(false, true, false)),
             LocalDirection::kLeft);
   EXPECT_FALSE(has_moved(robot));
@@ -101,8 +89,7 @@ TEST(Pef3PlusNoRule2ComputeTest, SentinelTurnsBackWithoutTheHasMovedGuard) {
 }
 
 TEST(Pef3PlusNoRule2ComputeTest, KeepsDirectionWhenAloneAndTurnsOnArrival) {
-  const Pef3PlusNoRule2 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+-no-rule2"));
   EXPECT_EQ(robot.compute(make_view(true, false, false)),
             LocalDirection::kLeft);
   EXPECT_TRUE(has_moved(robot));
@@ -115,8 +102,7 @@ TEST(Pef3PlusNoRule2ComputeTest, KeepsDirectionWhenAloneAndTurnsOnArrival) {
 TEST(Pef3PlusNoRule3ComputeTest, NeverTurnsEvenWhenArrivingOnATower) {
   // The Rule 3 scenario above: a robot that moved lands on a tower.  With
   // Rule 3 dropped it keeps going.
-  const Pef3PlusNoRule3 algo;
-  ComputeTwin robot(algo);
+  KernelRobot robot(*make_algorithm("pef3+-no-rule3"));
   EXPECT_EQ(robot.compute(make_view(true, true, false)),
             LocalDirection::kLeft);
   EXPECT_TRUE(has_moved(robot));
@@ -126,8 +112,7 @@ TEST(Pef3PlusNoRule3ComputeTest, NeverTurnsEvenWhenArrivingOnATower) {
 }
 
 TEST(Pef3PlusNoRule3ComputeTest, HasMovedTracksThePointedEdge) {
-  const Pef3PlusNoRule3 algo;
-  ComputeTwin robot(algo, 0, LocalDirection::kRight);
+  KernelRobot robot(*make_algorithm("pef3+-no-rule3"), 0, LocalDirection::kRight);
   EXPECT_EQ(robot.compute(make_view(false, true, true)),
             LocalDirection::kRight);
   EXPECT_FALSE(has_moved(robot));
@@ -136,22 +121,11 @@ TEST(Pef3PlusNoRule3ComputeTest, HasMovedTracksThePointedEdge) {
   EXPECT_TRUE(has_moved(robot));
 }
 
-TEST(Pef3PlusComputeTest, StateToStringIsReadable) {
-  const Pef3Plus algo;
-  auto state = algo.make_state(0);
-  EXPECT_EQ(state->to_string(), "{stayed}");
-  LocalDirection dir = LocalDirection::kLeft;
-  algo.compute(make_view(true, true, false), dir, *state);
-  EXPECT_EQ(state->to_string(), "{moved}");
-  auto clone = state->clone();
-  EXPECT_EQ(clone->to_string(), "{moved}");
-}
-
 // --- Behavioural tests --------------------------------------------------
 
 Simulator make_sim(std::uint32_t n, std::uint32_t k, SchedulePtr schedule) {
   const Ring ring(n);
-  return Simulator(ring, std::make_shared<Pef3Plus>(),
+  return Simulator(ring, make_algorithm("pef3+"),
                    make_oblivious(std::move(schedule)),
                    spread_placements(ring, k));
 }
@@ -169,7 +143,7 @@ TEST(Pef3PlusBehaviourTest, SentinelsFormAtEventualMissingEdge) {
   const EdgeId missing = 5;
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), missing, /*vanish_time=*/10);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
   sim.run(600);
 
@@ -186,7 +160,7 @@ TEST(Pef3PlusBehaviourTest, TowerLemmasHoldOnEventualMissingEdge) {
   const Ring ring(10);
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), 0, 15);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 4));
   sim.run(800);
   const auto towers = analyze_towers(sim.trace());
@@ -208,7 +182,7 @@ TEST(Pef3PlusBehaviourTest, MoreRobotsThanThreeStillExplore) {
   const Ring ring(9);
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), 4, 12);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 5));
   sim.run(1200);
   EXPECT_TRUE(analyze_coverage(sim.trace()).perpetual(9));
@@ -222,7 +196,7 @@ TEST(Pef3PlusBehaviourTest, MixedChiralityStillExplores) {
       std::make_shared<StaticSchedule>(ring), 2, 9);
   std::vector<RobotPlacement> placements{
       {0, Chirality(true)}, {3, Chirality(false)}, {5, Chirality(true)}};
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 placements);
   sim.run(900);
   EXPECT_TRUE(analyze_coverage(sim.trace()).perpetual(7));
@@ -237,7 +211,7 @@ TEST_P(Pef3PlusSweepTest, PerpetualOnTIntervalRings) {
   const Ring ring(n);
   auto schedule =
       std::make_shared<TIntervalConnectedSchedule>(ring, 3, seed);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, k));
   sim.run(400 * n);
   const auto coverage = analyze_coverage(sim.trace());

@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
-#include "algorithms/baselines.hpp"
-#include "algorithms/pef3plus.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
@@ -15,7 +14,7 @@ namespace {
 
 TEST(SentinelsTest, NoSentinelsOnStaticRing) {
   const Ring ring(6);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(),
+  Simulator sim(ring, make_algorithm("pef3+"),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 spread_placements(ring, 3));
   sim.run(300);
@@ -30,7 +29,7 @@ TEST(SentinelsTest, Pef3PlusPostsTwoSentinels) {
   const EdgeId missing = 4;
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), missing, 12);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
   sim.run(700);
   const auto report = analyze_sentinels(sim.trace(), missing);
@@ -55,12 +54,12 @@ TEST(SentinelsTest, KeepDirectionCampsButBothOnExtremities) {
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), missing, 6);
 
-  Simulator keep(ring, std::make_shared<KeepDirection>(),
+  Simulator keep(ring, make_algorithm("keep-direction"),
                  make_oblivious(schedule), spread_placements(ring, 3));
   keep.run(400);
   EXPECT_FALSE(analyze_coverage(keep.trace()).perpetual(6));
 
-  Simulator pef(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator pef(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
   pef.run(400);
   EXPECT_TRUE(analyze_coverage(pef.trace()).perpetual(6));
@@ -71,7 +70,7 @@ TEST(SentinelsTest, FormationTimeIsSuffixStart) {
   const EdgeId missing = 1;
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), missing, 8);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
   sim.run(500);
   const auto report = analyze_sentinels(sim.trace(), missing);

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "algorithms/baselines.hpp"
+#include "algorithms/registry.hpp"
 #include "dynamic_graph/schedules.hpp"
 
 namespace pef {
@@ -17,7 +17,7 @@ TEST(SimulatorTest, InitialDirIsLeftAndLeftIsCcw) {
   // Paper: dir starts at `left`; with right_is_clockwise chirality a robot
   // therefore initially considers the counter-clockwise global direction.
   const Ring ring(4);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring), {{0, Chirality(true)}});
   EXPECT_EQ(sim.robot(0).dir(), LocalDirection::kLeft);
   EXPECT_EQ(sim.robot(0).considered_direction(),
@@ -30,7 +30,7 @@ TEST(SimulatorTest, InitialDirIsLeftAndLeftIsCcw) {
 
 TEST(SimulatorTest, FlippedChiralityMovesClockwise) {
   const Ring ring(4);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring), {{0, Chirality(false)}});
   sim.step();
   EXPECT_EQ(sim.robot(0).node(), 1u);
@@ -42,7 +42,7 @@ TEST(SimulatorTest, MissingEdgeBlocksMove) {
   auto base = std::make_shared<StaticSchedule>(ring);
   auto schedule = std::make_shared<SurgerySchedule>(
       base, std::vector<Removal>{{3, 0, 4}});
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(schedule), {{0, Chirality(true)}});
   for (int i = 0; i < 5; ++i) {
     const RoundRecord rec = sim.step();
@@ -56,7 +56,7 @@ TEST(SimulatorTest, MissingEdgeBlocksMove) {
 
 TEST(SimulatorTest, RoundRecordsCapturePhases) {
   const Ring ring(5);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring), {{2, Chirality(true)}});
   const RoundRecord rec = sim.step();
   EXPECT_EQ(rec.time, 0u);
@@ -72,7 +72,7 @@ TEST(SimulatorTest, MultiplicityDetection) {
   const Ring ring(4);
   // Two robots converging on the same node see each other next round.
   // r0 at node 2 (ccw -> 1), r1 at node 0 (cw via flipped chirality -> 1).
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring),
                 {{2, Chirality(true)}, {0, Chirality(false)}});
   RoundRecord rec = sim.step();
@@ -86,7 +86,7 @@ TEST(SimulatorTest, MultiplicityDetection) {
 
 TEST(SimulatorTest, TraceAccumulatesAndPositionsAt) {
   const Ring ring(6);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring), {{5, Chirality(true)}});
   sim.run(4);
   const Trace& trace = sim.trace();
@@ -99,7 +99,7 @@ TEST(SimulatorTest, TraceAccumulatesAndPositionsAt) {
 
 TEST(SimulatorTest, TwoNodeRingShuttle) {
   const Ring ring(2);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring), {{0, Chirality(true)}});
   // On the 2-node multigraph every move lands on the other node.
   NodeId expected = 0;
@@ -130,7 +130,7 @@ TEST(SimulatorDeathTest, RejectsTowerInitialConfiguration) {
   const Ring ring(4);
   EXPECT_DEATH(
       {
-        Simulator sim(ring, std::make_shared<KeepDirection>(),
+        Simulator sim(ring, make_algorithm("keep-direction"),
                       static_adversary(ring),
                       {{1, Chirality(true)}, {1, Chirality(true)}});
       },
@@ -141,7 +141,7 @@ TEST(SimulatorDeathTest, RejectsTooManyRobots) {
   const Ring ring(3);
   EXPECT_DEATH(
       {
-        Simulator sim(ring, std::make_shared<KeepDirection>(),
+        Simulator sim(ring, make_algorithm("keep-direction"),
                       static_adversary(ring),
                       {{0, Chirality(true)},
                        {1, Chirality(true)},
@@ -154,7 +154,7 @@ TEST(SimulatorTest, SynchronousSwapDoesNotCollide) {
   // Two adjacent robots moving toward each other swap positions through the
   // same edge without meeting (moves are simultaneous).
   const Ring ring(4);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 static_adversary(ring),
                 {{0, Chirality(false)}, {1, Chirality(true)}});
   // r0 at 0 moves cw to 1; r1 at 1 moves ccw to 0.

@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
-#include "algorithms/baselines.hpp"
-#include "algorithms/pef3plus.hpp"
+#include "algorithms/registry.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -14,7 +13,7 @@ namespace {
 
 TEST(TowersTest, NoTowerOnLoneRobot) {
   const Ring ring(4);
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 {{0, Chirality(true)}});
   sim.run(50);
@@ -30,7 +29,7 @@ TEST(TowersTest, HeadOnMeetingFormsTower) {
   // r0 at 2 going ccw, r1 at 0 going cw: they meet on node 1 after 1 round
   // and, with KeepDirection, walk together... no: opposite global dirs, so
   // they separate immediately after 1 config time together.
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 {{2, Chirality(true)}, {0, Chirality(false)}});
   sim.run(4);
@@ -55,7 +54,7 @@ TEST(TowersTest, ChasingRobotsTravelTogetherAndViolateLemma33) {
   // r0 at node 2, its ccw edge is edge 1: block edge 1 for 2 rounds.
   auto schedule = std::make_shared<SurgerySchedule>(
       base, std::vector<Removal>{{1, 0, 1}});
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(schedule),
                 {{2, Chirality(true)}, {4, Chirality(true)}});
   sim.run(20);
@@ -72,7 +71,7 @@ TEST(TowersTest, ThreeRobotPileViolatesLemma34) {
   auto base = std::make_shared<StaticSchedule>(ring);
   auto schedule = std::make_shared<SurgerySchedule>(
       base, std::vector<Removal>{{4, 0, kTimeInfinity}});
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(schedule),
                 {{0, Chirality(true)},
                  {1, Chirality(true)},
@@ -86,7 +85,7 @@ TEST(TowersTest, ThreeRobotPileViolatesLemma34) {
 TEST(TowersTest, TowerIntervalsAreMaximal) {
   const Ring ring(4);
   // Meet at node 1 (see HeadOnMeetingFormsTower) and separate next round.
-  Simulator sim(ring, std::make_shared<KeepDirection>(),
+  Simulator sim(ring, make_algorithm("keep-direction"),
                 make_oblivious(std::make_shared<StaticSchedule>(ring)),
                 {{2, Chirality(true)}, {0, Chirality(false)}});
   sim.run(6);
@@ -101,7 +100,7 @@ TEST(TowersTest, Pef3PlusBreaksTowersQuickly) {
   const Ring ring(8);
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), 3, 10);
-  Simulator sim(ring, std::make_shared<Pef3Plus>(), make_oblivious(schedule),
+  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
   sim.run(500);
   const auto report = analyze_towers(sim.trace());

@@ -1,6 +1,8 @@
-// Differential tests pinning the unified Engine (which runs every
-// algorithm's devirtualized kernel) to the reference simulators (which run
-// the virtual Algorithm twins):
+// Differential tests pinning the unified Engine's round machinery — Look,
+// Move, scheduling and multiplicity — to the reference simulators.  Both
+// run the same kernels (algorithms/kernels.hpp), which the truth tables in
+// tests/kernels_test.cpp pin to the paper's rules; what these tests pin is
+// everything around Compute:
 //
 //   * FSYNC: every registry algorithm must reproduce Simulator round by
 //     round across adversary families and seeds;

@@ -8,9 +8,10 @@
 // seed) is exactly a ScenarioSpec (core/spec.hpp): --spec loads one as the
 // defaults, explicit flags override it, and --print-spec writes the
 // resolved spec back out as JSON — so any CLI invocation can be saved and
-// replayed (also by run_scenario() and pef_sweep).  The adversary list in
-// --help and the --adversary parser are both generated from the adversary
-// registry, the single source of truth for names/params/defaults.
+// replayed (also by run_scenario() and pef_sweep).  The algorithm list in
+// --help comes from the algorithm registry, and the adversary list and the
+// --adversary parser from the adversary registry: each registry is the
+// single source of truth for its names/params/defaults.
 //
 // The execution model is a flag: --model fsync|ssync|async selects the
 // activation model (SSYNC/ASYNC run under seeded Bernoulli activation /
@@ -54,10 +55,12 @@ void print_help(const char* program) {
       << "  --robots K       robot count (default 3)\n"
       << "  --topology G     ring | chain (default ring; a chain is the\n"
       << "                   ring with edge n-1 never present)\n"
-      << "  --algorithm A    pef3+ | pef2 | pef1 | keep-direction | bounce\n"
-      << "                   | random-walk | oscillating | pef3+-no-rule2\n"
-      << "                   | pef3+-no-rule3 (default: paper's choice)\n"
-      << "  --adversary X    adversary family (default eventual-missing):\n";
+      << "  --algorithm A    robot algorithm (default: paper's choice):\n";
+  for (const std::string& name : algorithm_names()) {
+    std::cout << "                     " << name << "\n";
+  }
+  std::cout << "  --adversary X    adversary family (default "
+               "eventual-missing):\n";
   for (const AdversaryKindInfo& info : adversary_registry()) {
     std::cout << "                     " << info.name;
     if (!info.params.empty()) {
