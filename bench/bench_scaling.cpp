@@ -21,6 +21,12 @@
 //     plain and with the periodicity detector — fastforward_bit_identical
 //     and fastforward_speedup (>= 10x) are the acceptance gates of the
 //     fast-forward PR;
+//   * the cycle-fastforward-noncycling series: a seed group that never
+//     cycles before its horizon (pef3+, periodic, n=128, k=64, 16 seeds)
+//     through run_seed_group with fast-forward on and off —
+//     fastforward_noncycling_ratio (on / off wall time, median of 5 paired
+//     reps) is what the cycle search costs where it cannot pay off
+//     (informational, no gate);
 //   * SweepRunner thread-scaling on a fixed grid (1 thread vs 4), with a
 //     byte-identity check of the two JSON outputs.
 //
@@ -42,6 +48,7 @@
 #include "analysis/coverage.hpp"
 #include "common/bench_report.hpp"
 #include "core/experiment.hpp"
+#include "core/spec.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
@@ -634,7 +641,7 @@ void cycle_fastforward(BenchReport& report) {
   const Ring ring(kNodes);
   const auto build = [&](bool fast_forward) {
     EngineOptions options;
-    options.fast_forward.enabled = fast_forward;
+    options.fast_forward = fast_forward;
     return Engine(ring, make_algorithm("pef3+", 7),
                   std::make_unique<ObliviousAdversary>(
                       std::make_shared<PeriodicSchedule>(
@@ -709,6 +716,80 @@ void cycle_fastforward(BenchReport& report) {
   report.summary("fastforward_engaged", engaged);
 }
 
+// Fast-forward where it cannot pay off: a batched seed group that never
+// cycles before its horizon, so every lattice sample is pure search cost.
+// Each rep runs the group with fast-forward on and off back to back (the
+// pair sees the same machine state) and the summary is the median per-rep
+// on / off wall-time ratio, the statistic head_to_head uses.
+
+void cycle_fastforward_noncycling(BenchReport& report) {
+  const std::uint32_t kNodes = 128;
+  const std::uint32_t kRobots = 64;
+  const std::uint32_t kSeeds = 16;
+  const Time kHorizon = smoke_mode ? 5000 : 20000;
+  constexpr int kReps = 5;
+  std::cout << "\n=== Cycle fast-forward on a non-cycling group (pef3+, "
+               "periodic, n="
+            << kNodes << ", k=" << kRobots << ", " << kSeeds
+            << " seeds, horizon " << kHorizon << ") ===\n";
+  const Ring ring(kNodes);
+  const AdversaryConfig adversary = adversary_config(AdversaryKind::kPeriodic);
+  std::uint64_t cycled = 0;
+  const auto run_group = [&](bool fast_forward) {
+    const auto start = std::chrono::steady_clock::now();
+    run_seed_group(
+        {.ring = ring,
+         .robots = kRobots,
+         .horizon = kHorizon,
+         .seeds = kSeeds,
+         .max_batch = kSeeds,
+         .fast_forward = fast_forward},
+        [&](std::uint64_t b) {
+          const std::uint64_t seed = 1 + b;
+          return SeedRun{seed, make_algorithm("pef3+", seed),
+                         adversary_from_config(adversary, ring, seed, kRobots),
+                         spread_placements(ring, kRobots)};
+        },
+        [&](std::uint64_t, const SeedResult& result) {
+          if (result.rounds_simulated > 0) ++cycled;
+        });
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+
+  double on_wall = 1e100;
+  double off_wall = 1e100;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double on = run_group(true);
+    const double off = run_group(false);
+    on_wall = std::min(on_wall, on);
+    off_wall = std::min(off_wall, off);
+    ratios.push_back(on / off);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double ratio = ratios[ratios.size() / 2];
+  std::cout << "fast-forward on:  " << on_wall << " s (best of " << kReps
+            << "; " << cycled << "/" << kReps * kSeeds << " seed runs cycled)\n"
+            << "fast-forward off: " << off_wall << " s (best of " << kReps
+            << ")\n"
+            << "on / off: " << ratio << " (median paired ratio)\n";
+
+  report.add_rounds(2 * kReps * kSeeds * kHorizon);
+  report.add_cell()
+      .param("series", "cycle-fastforward-noncycling")
+      .param("n", std::uint64_t{kNodes})
+      .param("k", std::uint64_t{kRobots})
+      .param("seeds", std::uint64_t{kSeeds})
+      .param("horizon", static_cast<std::uint64_t>(kHorizon))
+      .metric("fastforward_wall_seconds", on_wall)
+      .metric("plain_wall_seconds", off_wall)
+      .metric("seed_runs_cycled", cycled)
+      .metric("on_over_off", ratio);
+  report.summary("fastforward_noncycling_ratio", ratio);
+}
+
 void sweep_scaling(BenchReport& report) {
   std::cout << "\n=== SweepRunner thread scaling (same grid, 1 vs 4 "
                "threads) ===\n";
@@ -772,6 +853,7 @@ int main(int argc, char** argv) {
   pef::batch_throughput(report);
   pef::intra_cell_threads(report);
   pef::cycle_fastforward(report);
+  pef::cycle_fastforward_noncycling(report);
   pef::sweep_scaling(report);
   report.write();
   return 0;

@@ -642,7 +642,7 @@ BatchPlan run_seed_group(
   if (!plan.use_batch()) {
     EngineOptions options;
     options.record_trace = group.record_trace;
-    options.fast_forward.enabled = group.fast_forward;
+    options.fast_forward = group.fast_forward;
     for (std::uint64_t i = 0; i < group.seeds; ++i) {
       SeedRun run = make_seed(i);
       const auto start = Clock::now();
@@ -667,7 +667,7 @@ BatchPlan run_seed_group(
 
   BatchEngineOptions options;
   options.threads = group.engine_threads;
-  options.fast_forward.enabled = group.fast_forward;
+  options.fast_forward = group.fast_forward;
   for (std::uint64_t first = 0; first < group.seeds; first += plan.width) {
     const auto count = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(plan.width, group.seeds - first));
@@ -837,7 +837,24 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
         edge_refill_needed_ || schedules_[l] == nullptr || refill_[l] != 0;
   }
 
-  ff_init();
+  // Per-lane fast-forward: env_lattice's rule, as Engine::cycle_lattice
+  // applies it.  Lanes first observe the t = 1 boundary.
+  if (options_.fast_forward) {
+    cycles_.resize(batch_);
+    bool any_eligible = false;
+    for (std::uint32_t l = 0; l < batch_; ++l) {
+      const std::optional<EnvLattice> lattice = env_lattice(
+          schedules_[l],
+          model_ == ExecutionModel::kFsync
+              ? ActivationBatchKind::kFull
+              : static_cast<ActivationBatchKind>(act_kind_[l]),
+          robots_);
+      if (!lattice) continue;
+      cycles_[l].start(*lattice, 1);
+      any_eligible = true;
+    }
+    if (!any_eligible) cycles_.clear();
+  }
 
   // The t = 0 boundary (Engine::init's observe_boundary(0)), serial —
   // construction is not a hot path.
@@ -1245,7 +1262,7 @@ void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
-  if (ff_enabled_) ff_observe(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 template <KernelId Id, bool AllFull>
@@ -1449,7 +1466,7 @@ void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
-  if (ff_enabled_) ff_observe(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 template <KernelId Id>
@@ -1548,7 +1565,7 @@ void BatchEngine::async_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
-  if (ff_enabled_) ff_observe(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 template <KernelId Id>
@@ -1687,41 +1704,21 @@ void BatchEngine::finish_round(std::uint32_t l0, std::uint32_t l1, Time t1) {
   }
 }
 
-void BatchEngine::ff_init() {
-  ff_enabled_ = false;
-  if (!options_.fast_forward.enabled) return;
-  ff_.resize(batch_);
-  for (std::uint32_t l = 0; l < batch_; ++l) {
-    LaneFf& f = ff_[l];
-    const std::optional<EnvLattice> lattice = env_lattice(
-        schedules_[l],
-        model_ == ExecutionModel::kFsync
-            ? ActivationBatchKind::kFull
-            : static_cast<ActivationBatchKind>(act_kind_[l]),
-        robots_);
-    if (!lattice) continue;
-    f.stage = LaneFf::Stage::kSearch;
-    f.env_period = lattice->period;
-    f.env_start = lattice->start;
-    f.detector = BrentDetector(options_.fast_forward.hash_mask);
-    ff_enabled_ = true;
-  }
-}
-
-void BatchEngine::ff_pack_lane(std::uint32_t lane,
-                               std::vector<std::uint64_t>& out) const {
-  out.clear();
+template <typename Sink>
+bool BatchEngine::lane_state_words(std::uint32_t lane, Sink&& sink) const {
   const std::uint32_t stride = batch_;
   const bool rng_state = kernel_id_ == KernelId::kRandomWalk;
   for (std::uint32_t i = 0; i < robots_; ++i) {
     const std::size_t at = std::size_t{i} * stride + lane;
-    out.push_back((static_cast<std::uint64_t>(node_[at]) << 32) |
-                  (static_cast<std::uint64_t>(dir_[at]) << 1) |
-                  right_cw_[at]);
-    out.push_back(kcounter_[at]);
-    out.push_back(khas_moved_[at]);
+    if (!sink((static_cast<std::uint64_t>(node_[at]) << 32) |
+              (static_cast<std::uint64_t>(dir_[at]) << 1) | right_cw_[at]) ||
+        !sink(kcounter_[at]) || !sink(khas_moved_[at])) {
+      return false;
+    }
     if (rng_state) {
-      for (const std::uint64_t word : krng_[at].state()) out.push_back(word);
+      for (const std::uint64_t word : krng_[at].state()) {
+        if (!sink(word)) return false;
+      }
     }
   }
   if (model_ == ExecutionModel::kAsync) {
@@ -1735,99 +1732,25 @@ void BatchEngine::ff_pack_lane(std::uint32_t lane,
       if ((compute_words_[w] & bit) != 0) phase = 1;
       if ((move_words_[w] & bit) != 0) phase = 2;
       const View& view = pending_views_[at];
-      out.push_back((phase << 3) |
-                    (static_cast<std::uint64_t>(view.exists_edge_ahead) << 2) |
-                    (static_cast<std::uint64_t>(view.exists_edge_behind)
-                     << 1) |
-                    static_cast<std::uint64_t>(view.other_robots_on_node));
+      if (!sink((phase << 3) |
+                (static_cast<std::uint64_t>(view.exists_edge_ahead) << 2) |
+                (static_cast<std::uint64_t>(view.exists_edge_behind) << 1) |
+                static_cast<std::uint64_t>(view.other_robots_on_node))) {
+        return false;
+      }
     }
   }
+  return true;
 }
 
-void BatchEngine::ff_observe(std::uint32_t l0, std::uint32_t l1, Time t) {
+void BatchEngine::observe_cycles(std::uint32_t l0, std::uint32_t l1, Time t) {
   for (std::uint32_t l = l0; l < l1; ++l) {
-    LaneFf& f = ff_[l];
-    if (f.stage == LaneFf::Stage::kSearch) {
-      if (t < f.env_start || (t - f.env_start) % f.env_period != 0) continue;
-      ff_pack_lane(l, f.packed);
-      StateHash hash;
-      for (const std::uint64_t word : f.packed) hash.add(word);
-      const Time samples = f.detector.observe(f.packed, hash.value);
-      if (samples == 0) continue;
-      const Time period = samples * f.env_period;
-      // Worth engaging only when the measurement period AND at least one
-      // whole skipped repetition fit before the lane's horizon.
-      if (horizons_[l] - t < 2 * period) {
-        f.stage = LaneFf::Stage::kDone;
-        continue;
-      }
-      f.period = period;
-      f.measure_end = t + period;
-      f.snap_moves = moves_[l];
-      f.snap_tower_rounds = stats_[l].tower_rounds;
-      f.snap_formations = stats_[l].tower_formations;
-      const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
-      f.counts.resize(nodes_);
-      for (std::uint32_t u = 0; u < nodes_; ++u) {
-        f.counts[u] = row[u].count;
-      }
-      f.stage = LaneFf::Stage::kMeasure;
-    } else if (f.stage == LaneFf::Stage::kMeasure) {
-      if (t != f.measure_end) continue;
-      // The delta window closed: f.counts flips from snapshots to
-      // per-period deltas, and the lane is ready to extrapolate at the
-      // next epoch boundary (the deltas are window-start independent, so
-      // applying them later — from any in-cycle time — stays exact).
-      f.delta_moves = moves_[l] - f.snap_moves;
-      f.delta_tower_rounds = stats_[l].tower_rounds - f.snap_tower_rounds;
-      f.delta_formations = stats_[l].tower_formations - f.snap_formations;
-      const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
-      for (std::uint32_t u = 0; u < nodes_; ++u) {
-        f.counts[u] = row[u].count - f.counts[u];
-      }
-      f.stage = LaneFf::Stage::kArmed;
-    }
-  }
-}
-
-void BatchEngine::ff_apply_armed() {
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    LaneFf& f = ff_[l];
-    if (f.stage != LaneFf::Stage::kArmed) continue;
-    f.stage = LaneFf::Stage::kDone;
-    const Time horizon = horizons_[l];
-    const Time reps = (horizon - now_) / f.period;
-    if (reps == 0) continue;
-    const Time skip = f.period * reps;
-    moves_[l] += f.delta_moves * reps;
-    stats_[l].total_moves = moves_[l];
-    stats_[l].tower_rounds += f.delta_tower_rounds * reps;
-    stats_[l].tower_formations += f.delta_formations * reps;
-    // fits_batch bounds every final count, so the u32 sum is exact.
-    VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
-    for (std::uint32_t u = 0; u < nodes_; ++u) {
-      row[u].count += static_cast<std::uint32_t>(
-          std::uint64_t{f.counts[u]} * reps);
-    }
-    f.skipped = skip;
-    // The lane keeps simulating in its local clock: it now retires after
-    // the final partial period, and ff_finalize_lane shifts the clocked
-    // stats by `skip` so the retired lane lands on the full-horizon run.
-    horizons_[l] = horizon - skip;
-  }
-}
-
-void BatchEngine::ff_finalize_lane(std::uint32_t lane) {
-  LaneFf& f = ff_[lane];
-  if (f.skipped == 0) return;
-  stats_[lane].rounds += f.skipped;  // == the replica's true horizon
-  VisitCell* row = visits_.data() + std::size_t{lane} * nodes_;
-  const auto skip32 = static_cast<std::uint32_t>(f.skipped);
-  for (std::uint32_t u = 0; u < nodes_; ++u) {
-    // In-cycle nodes (per-period delta > 0) had their true last visit in
-    // the replayed window, `skip` later than the local stamp; nodes last
-    // seen before the cycle keep their (already true) stamp.
-    if (f.counts[u] != 0) row[u].last += skip32;
+    if (cycles_[l].next() != t) continue;
+    const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
+    cycles_[l].observe(
+        t, horizons_[l], stats_[l], nodes_,
+        [row](std::uint32_t u) { return std::uint64_t{row[u].count}; },
+        [this, l](auto&& sink) { return lane_state_words(l, sink); });
   }
 }
 
@@ -1835,13 +1758,37 @@ void BatchEngine::retire_finished() {
   // retire_finished runs exactly at epoch boundaries (run_all) or between
   // rounds (step), so no epoch span is in flight: safe point to shrink
   // armed lanes' horizons.
-  if (ff_enabled_) ff_apply_armed();
-  for (std::uint32_t l = active_; l-- > 0;) {
-    if (stats_[l].rounds >= horizons_[l]) {
-      if (!ff_.empty()) ff_finalize_lane(l);
-      const std::uint32_t last = --active_;
-      if (l != last) swap_lanes(l, last);
+  const std::uint32_t tracked = cycles_.empty() ? 0 : active_;
+  for (std::uint32_t l = 0; l < tracked; ++l) {
+    CycleTracker& cycle = cycles_[l];
+    if (cycle.stage() != CycleTracker::Stage::kArmed) continue;
+    const Time skip = cycle.skip(now_, horizons_[l], stats_[l]);
+    if (skip == 0) continue;
+    moves_[l] = stats_[l].total_moves;
+    // fits_batch bounds every final count, so the u32 sum is exact.
+    VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
+    for (std::uint32_t u = 0; u < nodes_; ++u) {
+      row[u].count += static_cast<std::uint32_t>(cycle.visits_added(u));
     }
+    horizons_[l] -= skip;
+  }
+  for (std::uint32_t l = active_; l-- > 0;) {
+    if (stats_[l].rounds < horizons_[l]) continue;
+    const Time skipped = cycles_.empty() ? Time{0} : cycles_[l].skipped();
+    if (skipped > 0) {
+      stats_[l].rounds += skipped;  // == the replica's true horizon
+      VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
+      for (std::uint32_t u = 0; u < nodes_; ++u) {
+        // In-cycle nodes had their true last visit in the replayed window,
+        // `skipped` later than the local stamp; nodes last seen before the
+        // cycle keep their (already true) stamp.
+        if (cycles_[l].visits_added(u) != 0) {
+          row[u].last += static_cast<std::uint32_t>(skipped);
+        }
+      }
+    }
+    const std::uint32_t last = --active_;
+    if (l != last) swap_lanes(l, last);
   }
 }
 
@@ -1913,7 +1860,7 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(prev_had_tower_[a], prev_had_tower_[b]);
   swap(max_closed_gap_[a], max_closed_gap_[b]);
   swap(stats_[a], stats_[b]);
-  if (!ff_.empty()) swap(ff_[a], ff_[b]);
+  if (!cycles_.empty()) swap(cycles_[a], cycles_[b]);
   if (model_ != ExecutionModel::kFsync) {
     swap(act_kind_[a], act_kind_[b]);
     swap(act_p_[a], act_p_[b]);
@@ -1941,21 +1888,21 @@ const EngineStats& BatchEngine::stats(std::uint32_t replica) const {
 
 bool BatchEngine::fast_forwarded(std::uint32_t replica) const {
   PEF_CHECK(replica < batch_);
-  return !ff_.empty() && ff_[lane_of_replica_[replica]].skipped > 0;
+  return !cycles_.empty() &&
+         cycles_[lane_of_replica_[replica]].skipped() > 0;
 }
 
 Time BatchEngine::rounds_simulated(std::uint32_t replica) const {
   PEF_CHECK(replica < batch_);
   const std::uint32_t l = lane_of_replica_[replica];
-  const Time skipped = ff_.empty() ? Time{0} : ff_[l].skipped;
+  const Time skipped = cycles_.empty() ? Time{0} : cycles_[l].skipped();
   return stats_[l].rounds - skipped;
 }
 
 Time BatchEngine::detected_period(std::uint32_t replica) const {
-  PEF_CHECK(replica < batch_);
-  if (ff_.empty()) return 0;
-  const LaneFf& f = ff_[lane_of_replica_[replica]];
-  return f.skipped > 0 ? f.period : Time{0};
+  return fast_forwarded(replica)
+             ? cycles_[lane_of_replica_[replica]].period()
+             : Time{0};
 }
 
 CoverageReport BatchEngine::coverage_report(std::uint32_t replica,

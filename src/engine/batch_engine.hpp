@@ -168,7 +168,7 @@ struct BatchEngineOptions {
   /// the existing ragged-horizon compaction; ineligible lanes (Bernoulli
   /// activation, adaptive adversaries) run to their full horizon.
   /// Per-replica results are bit-identical either way.
-  FastForwardOptions fast_forward;
+  bool fast_forward = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -392,28 +392,20 @@ class BatchEngine {
   /// Per-lane end-of-round bookkeeping for lanes [l0, l1) at round-end
   /// time t1: tower stats, round counters.
   void finish_round(std::uint32_t l0, std::uint32_t l1, Time t1);
-  /// Resolve per-lane fast-forward eligibility (called once at
-  /// construction; per lane, the env_lattice rule Engine::ff_eligible
-  /// applies).
-  void ff_init();
-  /// Per-lane cycle detection at boundary t for lanes [l0, l1): advance
-  /// each lane's detection state machine (search -> measure -> armed).
-  /// Lane-local state only, so it composes with tiles and worker slices.
-  void ff_observe(std::uint32_t l0, std::uint32_t l1, Time t);
-  /// Pack lane state for fingerprinting (the batch twin of
-  /// Engine::pack_state).
-  void ff_pack_lane(std::uint32_t lane, std::vector<std::uint64_t>& out) const;
-  /// At an epoch boundary (under retire_finished, so no epoch span is in
-  /// flight): extrapolate every armed lane's stats over the whole periods
-  /// left before its horizon and shrink the horizon to the final partial
-  /// period.  Visit `last` stamps stay in the lane's local (un-skipped)
-  /// clock until retirement so the replay keeps exact gap bookkeeping.
-  void ff_apply_armed();
-  /// At retirement of a fast-forwarded lane: shift rounds and the
-  /// in-cycle visit stamps by the skipped span, landing on the stats of
-  /// the full-horizon run.
-  void ff_finalize_lane(std::uint32_t lane);
-  /// Swap finished lanes out of the live prefix.
+  /// Advance the CycleTracker of every lane of [l0, l1) due at boundary
+  /// t (cycle.hpp).  Lane-local state only, so it composes with tiles and
+  /// worker slices.
+  void observe_cycles(std::uint32_t l0, std::uint32_t l1, Time t);
+  /// Lane `lane`'s CycleTracker state visitor (Engine::state_words' word
+  /// layout, read straight from the planes).
+  template <typename Sink>
+  bool lane_state_words(std::uint32_t lane, Sink&& sink) const;
+  /// Swap finished lanes out of the live prefix.  At this epoch boundary
+  /// armed lanes skip first: their stats take every whole period left
+  /// before the horizon, which shrinks to the final partial period.  Visit
+  /// `last` stamps stay in the lane's local (un-skipped) clock until the
+  /// lane retires, so the replay keeps exact gap bookkeeping; retirement
+  /// then shifts the rounds and the in-cycle stamps by the skipped span.
   void retire_finished();
   void swap_lanes(std::uint32_t a, std::uint32_t b);
   [[nodiscard]] Configuration snapshot_lane(std::uint32_t lane) const;
@@ -573,43 +565,9 @@ class BatchEngine {
   PlaneVector<std::uint32_t> stamp_epoch_;
   PlaneVector<std::uint32_t> stamp_count_;
 
-  /// Per-lane fast-forward state machine.  kSearch lanes feed their Brent
-  /// detector at env-aligned boundaries; a verified cycle moves the lane
-  /// to kMeasure (one more live period closes every wrap-around revisit
-  /// gap and yields exact per-period stat deltas, which are independent of
-  /// where in the cycle the window starts); kArmed lanes apply at the next
-  /// epoch boundary and retire after the remaining partial period.
-  struct LaneFf {
-    enum class Stage : std::uint8_t {
-      kOff = 0,  // ineligible: never sampled
-      kSearch,   // Brent detector live on the env lattice
-      kMeasure,  // cycle verified; measuring one live period of deltas
-      kArmed,    // deltas ready; apply at the next epoch boundary
-      kDone,     // applied or abandoned
-    };
-    Stage stage = Stage::kOff;
-    Time env_period = 1;
-    Time env_start = 0;
-    BrentDetector detector;
-    std::vector<std::uint64_t> packed;  // pack scratch, reused per sample
-    Time period = 0;       // verified cycle length in rounds
-    Time measure_end = 0;  // boundary at which the delta window closes
-    // Stat snapshots at the measure window's start; `counts` holds the
-    // per-node snapshot during kMeasure and the per-period DELTAS from
-    // kArmed on (kept until retirement: delta > 0 marks in-cycle nodes
-    // whose last-visit stamps must shift by the skipped span).
-    std::uint64_t snap_moves = 0;
-    Time snap_tower_rounds = 0;
-    std::uint64_t snap_formations = 0;
-    std::vector<std::uint32_t> counts;
-    std::uint64_t delta_moves = 0;
-    Time delta_tower_rounds = 0;
-    std::uint64_t delta_formations = 0;
-    // Applied extrapolation (meaningful when skipped > 0).
-    Time skipped = 0;
-  };
-  bool ff_enabled_ = false;  // some lane is actually searching
-  std::vector<LaneFf> ff_;
+  /// Per-lane fast-forward trackers; empty unless fast_forward is on and
+  /// some lane is eligible.
+  std::vector<CycleTracker> cycles_;
 };
 
 }  // namespace pef

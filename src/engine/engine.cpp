@@ -472,19 +472,10 @@ void Engine::step_async() {
   if (tracing) trace_->append(std::move(record));
 }
 
-void Engine::run(Time rounds) {
-  const Time target = now_ + rounds;
-  if (options_.fast_forward.enabled && ff_eligible()) {
-    run_fast_forward(target);
-    return;
-  }
-  while (now_ < target) step();
-}
-
-bool Engine::ff_eligible() {
+std::optional<EnvLattice> Engine::cycle_lattice() const {
   // A trace must record each round, so tracing never fast-forwards; the
   // rest is env_lattice's rule.
-  if (options_.record_trace) return false;
+  if (options_.record_trace) return std::nullopt;
   const EdgeSchedule* schedule = schedule_;  // FSYNC: non-null iff oblivious
   ActivationBatchKind activation = ActivationBatchKind::kFull;
   if (model_ != ExecutionModel::kFsync) {
@@ -493,27 +484,24 @@ bool Engine::ff_eligible() {
                      ? activation_->batch_kind()
                      : phase_scheduler_->batch_kind();
   }
-  const std::optional<EnvLattice> lattice =
-      env_lattice(schedule, activation, robot_count());
-  if (!lattice) return false;
-  ff_env_period_ = lattice->period;
-  ff_env_start_ = lattice->start;
-  return true;
+  return env_lattice(schedule, activation, robot_count());
 }
 
-void Engine::pack_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
+template <typename Sink>
+bool Engine::state_words(Sink&& sink) const {
   const std::uint32_t k = robot_count();
   const bool rng_state = kernel_.id == KernelId::kRandomWalk;
   for (std::uint32_t i = 0; i < k; ++i) {
-    out.push_back((static_cast<std::uint64_t>(node_[i]) << 32) |
-                  (static_cast<std::uint64_t>(dir_[i]) << 1) |
-                  right_cw_[i]);
     const KernelState& ks = kstates_[i];
-    out.push_back(ks.counter);
-    out.push_back(ks.has_moved);
+    if (!sink((static_cast<std::uint64_t>(node_[i]) << 32) |
+              (static_cast<std::uint64_t>(dir_[i]) << 1) | right_cw_[i]) ||
+        !sink(ks.counter) || !sink(ks.has_moved)) {
+      return false;
+    }
     if (rng_state) {
-      for (const std::uint64_t word : ks.rng.state()) out.push_back(word);
+      for (const std::uint64_t word : ks.rng.state()) {
+        if (!sink(word)) return false;
+      }
     }
   }
   if (model_ == ExecutionModel::kAsync) {
@@ -522,76 +510,53 @@ void Engine::pack_state(std::vector<std::uint64_t>& out) const {
     // the equality test (false negatives delay detection; never wrong).
     for (std::uint32_t i = 0; i < k; ++i) {
       const View& view = pending_views_[i];
-      out.push_back((static_cast<std::uint64_t>(phases_[i]) << 3) |
-                    (static_cast<std::uint64_t>(view.exists_edge_ahead) << 2) |
-                    (static_cast<std::uint64_t>(view.exists_edge_behind) << 1) |
-                    static_cast<std::uint64_t>(view.other_robots_on_node));
+      if (!sink((static_cast<std::uint64_t>(phases_[i]) << 3) |
+                (static_cast<std::uint64_t>(view.exists_edge_ahead) << 2) |
+                (static_cast<std::uint64_t>(view.exists_edge_behind) << 1) |
+                static_cast<std::uint64_t>(view.other_robots_on_node))) {
+        return false;
+      }
     }
   }
+  return true;
 }
 
-void Engine::run_fast_forward(Time target) {
-  BrentDetector detector(options_.fast_forward.hash_mask);
-  std::vector<std::uint64_t> packed;
-  Time period = 0;
+void Engine::run(Time rounds) {
+  const Time target = now_ + rounds;
+  if (options_.fast_forward) {
+    if (const std::optional<EnvLattice> lattice = cycle_lattice()) {
+      cycle_.start(*lattice, now_);
+    }
+  }
   while (now_ < target) {
-    if (now_ >= ff_env_start_ &&
-        (now_ - ff_env_start_) % ff_env_period_ == 0) {
-      pack_state(packed);
-      StateHash hash;
-      for (const std::uint64_t word : packed) hash.add(word);
-      const Time samples = detector.observe(packed, hash.value);
-      if (samples > 0) {
-        period = samples * ff_env_period_;
-        break;
+    if (now_ == cycle_.next()) {
+      cycle_.observe(
+          now_, target, stats_, ring_.node_count(),
+          [this](NodeId u) { return visit_counts_[u]; },
+          [this](auto&& sink) { return state_words(sink); });
+      if (cycle_.stage() == CycleTracker::Stage::kArmed) {
+        const Time skip = cycle_.skip(now_, target, stats_);
+        for (NodeId u = 0; u < ring_.node_count(); ++u) {
+          const std::uint64_t added = cycle_.visits_added(u);
+          if (added == 0) continue;
+          visit_counts_[u] += added;
+          // The node's visit pattern is period-periodic: its true last
+          // visit in the skipped region sits exactly `skip` after the one
+          // just recorded.
+          last_visit_[u] += skip;
+        }
+        // The state now equals the state `skip` rounds later, and skip is
+        // a multiple of the environment period, so replaying the tail at
+        // the advanced clock reproduces the true final rounds bit-for-bit
+        // (visited / cover_time are monotone and already settled within
+        // the measured period).
+        now_ += skip;
+        stats_.rounds = now_;
+        continue;
       }
     }
     step();
   }
-  ff_collisions_ = detector.collisions();
-  // Detection at t2 proves states repeat with `period`, but stats are not
-  // yet extrapolable: a revisit gap that wraps the detection point has not
-  // closed, so max_closed_gap could still grow.  Run ONE more full period
-  // live — by t3 = t2 + period every steady-state inter-visit gap (each at
-  // most `period` long) has materialized, and the deltas over (t2, t3] are
-  // the exact per-period increments of every remaining statistic (visit
-  // counts and rising-edge tower counts over one period are independent of
-  // where in the cycle the window starts).
-  if (period == 0 || target - now_ < 2 * period) {
-    while (now_ < target) step();
-    return;
-  }
-  ff_detected_period_ = period;
-  const std::vector<std::uint64_t> snap_counts = visit_counts_;
-  const std::uint64_t snap_moves = stats_.total_moves;
-  const Time snap_tower_rounds = stats_.tower_rounds;
-  const std::uint64_t snap_formations = stats_.tower_formations;
-  for (Time i = 0; i < period; ++i) step();
-
-  const Time remaining = target - now_;
-  const Time reps = remaining / period;
-  const Time skip = period * reps;
-  const std::uint32_t n = ring_.node_count();
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint64_t delta = visit_counts_[u] - snap_counts[u];
-    if (delta == 0) continue;
-    visit_counts_[u] += delta * reps;
-    // The node's visit pattern is period-periodic: its true last visit in
-    // the skipped region sits exactly `skip` after the one just recorded.
-    last_visit_[u] += skip;
-  }
-  stats_.total_moves += (stats_.total_moves - snap_moves) * reps;
-  stats_.tower_rounds += (stats_.tower_rounds - snap_tower_rounds) * reps;
-  stats_.tower_formations +=
-      (stats_.tower_formations - snap_formations) * reps;
-  now_ += skip;
-  stats_.rounds = now_;
-  ff_skipped_ = skip;
-  // The state at t3 equals the state at t3 + skip, and skip is a multiple
-  // of the environment period, so replaying the tail at the advanced clock
-  // reproduces the true final rounds bit-for-bit (visited / cover_time are
-  // monotone and already settled within the first full period).
-  while (now_ < target) step();
 }
 
 CoverageReport Engine::coverage_report(Time suffix_window) const {

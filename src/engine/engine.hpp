@@ -87,30 +87,12 @@ struct EngineOptions {
   /// fewer robots than nodes and a towerless initial configuration.
   bool enforce_well_initiated = true;
 
-  /// Cycle detection + exact stat extrapolation for run().  Only engages on
-  /// fully deterministic configurations (oblivious periodic edge schedule, non-Bernoulli activation, no trace); anything else
+  /// Cycle detection + exact stat extrapolation for run() (engine/cycle.hpp).
+  /// Only engages on fully deterministic configurations (oblivious periodic
+  /// edge schedule, non-Bernoulli activation, no trace); anything else
   /// silently runs the plain round loop.  Results are bit-identical either
   /// way.
-  FastForwardOptions fast_forward;
-};
-
-/// Aggregates the engine maintains incrementally every round, so sweeps get
-/// their metrics without recording a trace.  Visit semantics match
-/// analyze_coverage(): configuration times 0..rounds, one visit per robot.
-struct EngineStats {
-  Time rounds = 0;
-  std::uint64_t total_moves = 0;
-  /// Configuration times (of rounds+1 many) at which some node held >= 2
-  /// robots.
-  Time tower_rounds = 0;
-  /// Number of towered episodes: maximal runs of consecutive boundaries at
-  /// which some tower existed (a transition from a towerless boundary to a
-  /// towered one counts 1).  Coarser than analyze_towers'
-  /// tower_formation_count, which tracks per-node / per-robot-set events —
-  /// use a recorded trace when that granularity matters.
-  std::uint64_t tower_formations = 0;
-  std::uint32_t visited_node_count = 0;
-  std::optional<Time> cover_time;
+  bool fast_forward = false;
 };
 
 class Engine {
@@ -174,13 +156,13 @@ class Engine {
   /// Fast-forward telemetry.  rounds_simulated() is the number of rounds
   /// actually executed (== stats().rounds unless a cycle was skipped);
   /// detected_period() is 0 when no cycle engaged.
-  [[nodiscard]] bool fast_forwarded() const { return ff_skipped_ > 0; }
+  [[nodiscard]] bool fast_forwarded() const { return cycle_.skipped() > 0; }
   [[nodiscard]] Time rounds_simulated() const {
-    return stats_.rounds - ff_skipped_;
+    return stats_.rounds - cycle_.skipped();
   }
-  [[nodiscard]] Time detected_period() const { return ff_detected_period_; }
-  /// Hash hits rejected by the exact state comparison (collision audit).
-  [[nodiscard]] std::uint64_t ff_collisions() const { return ff_collisions_; }
+  [[nodiscard]] Time detected_period() const {
+    return fast_forwarded() ? cycle_.period() : 0;
+  }
 
   /// Coverage report equivalent to analyze_coverage(trace) but computed from
   /// the incremental per-node bookkeeping — available without a trace.
@@ -196,16 +178,14 @@ class Engine {
  private:
   void init(const std::vector<RobotPlacement>& placements);
   void observe_boundary(Time t);  // visit/tower bookkeeping at config time t
-  /// Resolve fast-forward eligibility: fills ff_env_period_/ff_env_start_
-  /// and returns true iff every component of the run is provably
-  /// deterministic and periodic (see EngineOptions::fast_forward).
-  [[nodiscard]] bool ff_eligible();
-  /// Pack the full deterministic state (robot SoA + kernel memory + ASYNC
-  /// phase machines) into 64-bit words for hashing and exact comparison.
-  void pack_state(std::vector<std::uint64_t>& out) const;
-  /// run() with cycle detection: detect, measure one live period,
-  /// extrapolate all stats over the skipped repetitions, replay the tail.
-  void run_fast_forward(Time target);
+  /// The run's sampling lattice, or nullopt when some component of the
+  /// run is not provably deterministic and periodic (env_lattice's rule;
+  /// traced runs never fast-forward).
+  [[nodiscard]] std::optional<EnvLattice> cycle_lattice() const;
+  /// The CycleTracker state visitor: robot SoA + kernel memory + ASYNC
+  /// phase machines, as 64-bit words.
+  template <typename Sink>
+  bool state_words(Sink&& sink) const;
   /// The step_* entry points dispatch ONCE per round on the kernel id, and
   /// ONLY the fused Look+Compute loop is instantiated per kernel: the
   /// algorithm's compute inlines into that loop body (no per-robot branch
@@ -303,12 +283,7 @@ class Engine {
   Time max_closed_gap_ = 0;
   EngineStats stats_;
 
-  // Fast-forward bookkeeping (see cycle.hpp).
-  Time ff_env_period_ = 0;  // sampling lattice period (0 = ineligible)
-  Time ff_env_start_ = 0;
-  Time ff_detected_period_ = 0;
-  Time ff_skipped_ = 0;  // rounds covered by extrapolation, not execution
-  std::uint64_t ff_collisions_ = 0;
+  CycleTracker cycle_;  // fast-forward (cycle.hpp)
 
   std::unique_ptr<Trace> trace_;
 };

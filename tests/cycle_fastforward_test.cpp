@@ -2,13 +2,14 @@
 // differential — the fast-forwarded run must reproduce the plain run's
 // statistics EXACTLY, not approximately — plus edge cases the sweep grids
 // rarely hit: period-1 fixpoints, cycles entered at round 0, tower-forming
-// configurations, chain topology, horizons landing mid-period, and forced
-// hash collisions (a truncated test hash must fall through to the exact
-// comparison, never corrupt a result).
+// configurations, chain topology, horizons landing mid-period, SSYNC and
+// ASYNC round-robin lattices, and near-miss samples that equal the Brent
+// anchor in every word but one.
 #include "engine/cycle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "dynamic_graph/schedules.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
+#include "scheduler/async.hpp"
 #include "scheduler/simulator.hpp"
 #include "scheduler/ssync.hpp"
 
@@ -67,8 +69,7 @@ void expect_same(const Engine& ff, const Engine& plain) {
 /// lands strictly mid-period — and pins every statistic.
 void run_differential(const std::string& algorithm, Topo topo, bool rotating,
                       std::uint32_t nodes, std::uint32_t robots,
-                      bool expect_engaged,
-                      std::uint64_t hash_mask = ~std::uint64_t{0}) {
+                      bool expect_engaged) {
   SCOPED_TRACE(algorithm + (topo == Topo::kChain ? " chain" : " ring") +
                (rotating ? " rotating" : " static") +
                " n=" + std::to_string(nodes) + " k=" + std::to_string(robots));
@@ -76,8 +77,7 @@ void run_differential(const std::string& algorithm, Topo topo, bool rotating,
   for (Time horizon = kHorizon; horizon < kHorizon + 3; ++horizon) {
     SCOPED_TRACE("horizon " + std::to_string(horizon));
     EngineOptions ff_options;
-    ff_options.fast_forward.enabled = true;
-    ff_options.fast_forward.hash_mask = hash_mask;
+    ff_options.fast_forward = true;
     Engine ff = make_engine(ring, algorithm, topo, rotating, robots,
                             ff_options);
     Engine plain = make_engine(ring, algorithm, topo, rotating, robots,
@@ -94,52 +94,81 @@ void run_differential(const std::string& algorithm, Topo topo, bool rotating,
 }
 
 // ---------------------------------------------------------------------------
-// Detector unit tests.
+// Tracker unit tests on synthetic word streams (lattice period 1, one
+// sample per round, a horizon far enough away that a cycle always engages).
 
-TEST(BrentDetectorTest, ConstantStreamIsAPeriodOneFixpoint) {
-  BrentDetector detector;
-  const std::vector<std::uint64_t> state = {1, 2, 3};
-  StateHash hash;
-  for (const std::uint64_t w : state) hash.add(w);
-  EXPECT_EQ(detector.observe(state, hash.value), 0u);  // sets the anchor
-  EXPECT_EQ(detector.observe(state, hash.value), 1u);
-  EXPECT_EQ(detector.collisions(), 0u);
+struct Found {
+  Time at = 0;      // the sample at which the tracker verified a cycle
+  Time period = 0;  // 0: it never did
+};
+
+Found feed(const std::function<std::vector<std::uint64_t>(Time)>& stream,
+           Time samples) {
+  CycleTracker tracker;
+  tracker.start(EnvLattice{1, 0}, 0);
+  for (Time t = 0; t < samples; ++t) {
+    EXPECT_EQ(tracker.next(), t);
+    const std::vector<std::uint64_t> state = stream(t);
+    tracker.observe(
+        t, Time{1} << 40, EngineStats{}, 0,
+        [](std::uint32_t) { return std::uint64_t{0}; },
+        [&](auto&& sink) {
+          for (const std::uint64_t word : state) {
+            if (!sink(word)) return false;
+          }
+          return true;
+        });
+    if (tracker.stage() != CycleTracker::Stage::kSearch) {
+      EXPECT_EQ(tracker.stage(), CycleTracker::Stage::kMeasure);
+      return {t, tracker.period()};
+    }
+  }
+  return {};
 }
 
-TEST(BrentDetectorTest, FindsMinimalPeriodAfterAPreperiod) {
+TEST(CycleTrackerTest, ConstantStreamIsAPeriodOneFixpoint) {
+  const Found found = feed([](Time) {
+    return std::vector<std::uint64_t>{1, 2, 3};
+  }, 10);
+  EXPECT_EQ(found.period, 1u);
+  EXPECT_EQ(found.at, 1u);  // sample 0 anchors, sample 1 matches
+}
+
+TEST(CycleTrackerTest, FindsMinimalPeriodAfterAPreperiod) {
   // Stream: 5 transient states, then a cycle of length 3.  Brent's
   // re-anchoring must land an anchor inside the cycle and report 3.
-  BrentDetector detector;
-  const auto pack = [](std::uint64_t tag) {
-    return std::vector<std::uint64_t>{tag};
-  };
-  const auto hash_of = [](std::uint64_t tag) {
-    StateHash hash;
-    hash.add(tag);
-    return hash.value;
-  };
-  Time found = 0;
-  std::uint64_t t = 0;
-  for (; t < 200 && found == 0; ++t) {
-    const std::uint64_t tag = t < 5 ? t : 5 + (t - 5) % 3;
-    found = detector.observe(pack(tag), hash_of(tag));
-  }
-  EXPECT_EQ(found, 3u);
+  const Found found = feed([](Time t) {
+    return std::vector<std::uint64_t>{t < 5 ? t : 5 + (t - 5) % 3};
+  }, 200);
+  EXPECT_EQ(found.period, 3u);
 }
 
-TEST(BrentDetectorTest, MaskedHashCollisionsFallThroughToExactCompare) {
-  // hash_mask 0 makes EVERY pair of samples a hash hit; only the exact
-  // state comparison may declare the cycle.
-  BrentDetector detector(/*hash_mask=*/0);
-  Time found = 0;
-  for (std::uint64_t t = 0; t < 100 && found == 0; ++t) {
-    const std::uint64_t tag = t % 7;
-    StateHash hash;
-    hash.add(tag);
-    found = detector.observe({tag}, hash.value);
+TEST(CycleTrackerTest, NearMissAnchorNeverMatchesEarly) {
+  // A 6-cycle of 5-word states: the base state B, then B with word 0
+  // changed, B with word 1 changed, ..., B with word 4 changed.  Brent
+  // anchors at samples 0, 1, 3 and 7; the phase puts B at sample 7, so
+  // samples 8..12 each equal the anchor in every word but one (a different
+  // word each time, first through last) and sample 13 is the true
+  // recurrence.  Earlier anchors are at most 4 samples old when replaced,
+  // so no earlier match exists either.
+  constexpr std::uint64_t kWords = 5;
+  const auto stream = [](Time t) {
+    std::vector<std::uint64_t> state = {10, 20, 30, 40, 50};
+    const Time index = (t + 5) % (kWords + 1);  // B at t = 7, 13, ...
+    if (index > 0) state[index - 1] ^= 1;
+    return state;
+  };
+  const Found found = feed(stream, 200);
+  EXPECT_EQ(found.period, kWords + 1);
+  EXPECT_EQ(found.at, 13u);
+  EXPECT_EQ(stream(found.at), stream(found.at - found.period));
+  for (Time t = 8; t < 13; ++t) {
+    std::uint64_t differing = 0;
+    for (std::uint64_t w = 0; w < kWords; ++w) {
+      differing += stream(t)[w] != stream(7)[w] ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 1u) << "sample " << t;
   }
-  EXPECT_EQ(found, 7u);
-  EXPECT_GT(detector.collisions(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +179,7 @@ TEST(CycleFastForwardTest, PeriodOneFixpointOnStaticChain) {
   // cut edge and freeze: the execution reaches a true fixpoint.
   const Ring ring(7);
   EngineOptions options;
-  options.fast_forward.enabled = true;
+  options.fast_forward = true;
   Engine ff = make_engine(ring, "keep-direction", Topo::kChain,
                           /*rotating=*/false, 3, options);
   ff.run(kHorizon);
@@ -167,7 +196,7 @@ TEST(CycleFastForwardTest, CycleEnteredAtRoundZero) {
   // first round: no preperiod, minimal period n.
   const Ring ring(6);
   EngineOptions options;
-  options.fast_forward.enabled = true;
+  options.fast_forward = true;
   Engine ff = make_engine(ring, "keep-direction", Topo::kRing,
                           /*rotating=*/false, 1, options);
   ff.run(kHorizon);
@@ -193,7 +222,7 @@ TEST(CycleFastForwardTest, TowerFormingConfiguration) {
   // the extrapolated tower_rounds / tower_formations must match exactly.
   const Ring ring(5);
   EngineOptions options;
-  options.fast_forward.enabled = true;
+  options.fast_forward = true;
   Engine ff = make_engine(ring, "pef3+", Topo::kRing, /*rotating=*/true, 3,
                           options);
   Engine plain = make_engine(ring, "pef3+", Topo::kRing, /*rotating=*/true, 3,
@@ -211,29 +240,28 @@ TEST(CycleFastForwardTest, ChainTopology) {
                    /*expect_engaged=*/true);
 }
 
-TEST(CycleFastForwardTest, ForcedHashCollisionsStayExact) {
-  // A 4-bit fingerprint collides constantly; the exact-verify step must
-  // reject every false hit and still find the true cycle.
-  EngineOptions probe;
-  probe.fast_forward.enabled = true;
-  probe.fast_forward.hash_mask = 0xF;
-  const Ring ring(8);
-  Engine ff = make_engine(ring, "pef3+", Topo::kRing, /*rotating=*/true, 3,
-                          probe);
-  ff.run(kHorizon);
-  EXPECT_TRUE(ff.fast_forwarded());
-  EXPECT_GT(ff.ff_collisions(), 0u);
-  Engine plain = make_engine(ring, "pef3+", Topo::kRing, /*rotating=*/true, 3,
-                             EngineOptions{});
-  plain.run(kHorizon);
-  expect_same(ff, plain);
-}
-
 TEST(CycleFastForwardTest, RandomWalkNeverDetectsButStaysCorrect) {
   // Xoshiro streams never cycle: the detector must never fire, and the run
   // must fall back to plain stepping with identical results.
   run_differential("random-walk", Topo::kRing, /*rotating=*/true, 6, 2,
                    /*expect_engaged=*/false);
+}
+
+/// pef3+ (seed `seed`) on the rotating(3,2) ring under SSYNC round-robin
+/// activation or ASYNC round-robin phases.
+Engine make_round_robin_engine(ExecutionModel model, const Ring& ring,
+                               std::uint64_t seed,
+                               const std::vector<RobotPlacement>& placements,
+                               const EngineOptions& options) {
+  auto adversary = std::make_unique<SsyncObliviousAdversary>(
+      make_schedule(ring, Topo::kRing, true));
+  if (model == ExecutionModel::kSsync) {
+    return Engine(ring, make_algorithm("pef3+", seed), std::move(adversary),
+                  std::make_unique<RoundRobinActivation>(), placements,
+                  options);
+  }
+  return Engine(ring, make_algorithm("pef3+", seed), std::move(adversary),
+                std::make_unique<RoundRobinPhases>(), placements, options);
 }
 
 TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
@@ -242,7 +270,7 @@ TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
   const Ring ring(6);
   for (Time horizon = kHorizon; horizon < kHorizon + 3; ++horizon) {
     EngineOptions options;
-    options.fast_forward.enabled = true;
+    options.fast_forward = true;
     Engine ff(ring, make_algorithm("pef3+", 7),
               std::make_unique<SsyncObliviousAdversary>(
                   make_schedule(ring, Topo::kRing, true)),
@@ -261,13 +289,58 @@ TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
   }
 }
 
+TEST(CycleFastForwardTest, AsyncRoundRobinPhases) {
+  // Round-robin phases put ASYNC on the same k-round lattice; the compared
+  // state now includes every robot's phase machine and pending view.
+  const Ring ring(6);
+  for (Time horizon = kHorizon; horizon < kHorizon + 3; ++horizon) {
+    SCOPED_TRACE("horizon " + std::to_string(horizon));
+    EngineOptions options;
+    options.fast_forward = true;
+    Engine ff = make_round_robin_engine(ExecutionModel::kAsync, ring, 7,
+                                        spread_placements(ring, 3), options);
+    Engine plain =
+        make_round_robin_engine(ExecutionModel::kAsync, ring, 7,
+                                spread_placements(ring, 3), EngineOptions{});
+    ff.run(horizon);
+    plain.run(horizon);
+    EXPECT_TRUE(ff.fast_forwarded());
+    EXPECT_EQ(ff.detected_period() % 3, 0u);  // multiple of the env period
+    expect_same(ff, plain);
+  }
+}
+
+TEST(CycleFastForwardTest, AsyncPhaseMachinesAreComparedState) {
+  // A lone keep-direction robot on a static ring under round-robin phases
+  // holds its node for a Look and a Compute tick before each Move, so its
+  // pose alone repeats after one tick; only the phase machine tells those
+  // ticks apart.  The true period is 3 ticks per node.
+  const Ring ring(6);
+  const auto build = [&](bool fast_forward) {
+    EngineOptions options;
+    options.fast_forward = fast_forward;
+    return Engine(ring, make_algorithm("keep-direction", 7),
+                  std::make_unique<SsyncObliviousAdversary>(
+                      std::make_shared<StaticSchedule>(ring)),
+                  std::make_unique<RoundRobinPhases>(),
+                  spread_placements(ring, 1), options);
+  };
+  Engine ff = build(true);
+  Engine plain = build(false);
+  ff.run(kHorizon);
+  plain.run(kHorizon);
+  EXPECT_TRUE(ff.fast_forwarded());
+  EXPECT_EQ(ff.detected_period(), 18u);
+  expect_same(ff, plain);
+}
+
 TEST(CycleFastForwardTest, BernoulliScheduleRefusesEligibility) {
   // A stochastic schedule must silently run plain — bit-identical, no
   // fast-forward telemetry.
   const Ring ring(6);
   const auto build = [&](bool ff) {
     EngineOptions options;
-    options.fast_forward.enabled = ff;
+    options.fast_forward = ff;
     return Engine(ring, make_algorithm("pef3+", 7),
                   std::make_unique<ObliviousAdversary>(
                       std::make_shared<BernoulliSchedule>(ring, 0.5, 99)),
@@ -284,6 +357,24 @@ TEST(CycleFastForwardTest, BernoulliScheduleRefusesEligibility) {
 // ---------------------------------------------------------------------------
 // Batch engine differentials: lanes detect independently, retire through
 // ragged-horizon compaction, and must still match solo PLAIN engines.
+
+void expect_same_lane(const BatchEngine& batch, std::uint32_t b,
+                      const Engine& solo) {
+  const EngineStats& a = batch.stats(b);
+  const EngineStats& s = solo.stats();
+  EXPECT_EQ(a.rounds, s.rounds);
+  EXPECT_EQ(a.total_moves, s.total_moves);
+  EXPECT_EQ(a.tower_rounds, s.tower_rounds);
+  EXPECT_EQ(a.tower_formations, s.tower_formations);
+  EXPECT_EQ(a.visited_node_count, s.visited_node_count);
+  EXPECT_EQ(a.cover_time, s.cover_time);
+  const CoverageReport ca = batch.coverage_report(b);
+  const CoverageReport cs = solo.coverage_report();
+  EXPECT_EQ(ca.visit_counts, cs.visit_counts);
+  EXPECT_EQ(ca.max_revisit_gap, cs.max_revisit_gap);
+  EXPECT_EQ(ca.max_closed_gap, cs.max_closed_gap);
+  EXPECT_EQ(ca.nodes_visited_in_suffix, cs.nodes_visited_in_suffix);
+}
 
 TEST(CycleFastForwardBatchTest, RaggedHorizonsMatchSoloPlainEngines) {
   constexpr std::uint32_t kBatch = 8;
@@ -303,7 +394,7 @@ TEST(CycleFastForwardBatchTest, RaggedHorizonsMatchSoloPlainEngines) {
       replica.horizon = horizon_of(b);
     }
     BatchEngineOptions options;
-    options.fast_forward.enabled = true;
+    options.fast_forward = true;
     BatchEngine batch(ring, ExecutionModel::kFsync, std::move(replicas),
                       options);
     batch.run_all();
@@ -317,24 +408,92 @@ TEST(CycleFastForwardBatchTest, RaggedHorizonsMatchSoloPlainEngines) {
       solo.run(horizon_of(b));
       EXPECT_TRUE(batch.fast_forwarded(b));
       EXPECT_LT(batch.rounds_simulated(b), horizon_of(b));
-      const EngineStats& a = batch.stats(b);
-      const EngineStats& s = solo.stats();
-      EXPECT_EQ(a.rounds, s.rounds);
-      EXPECT_EQ(a.total_moves, s.total_moves);
-      EXPECT_EQ(a.tower_rounds, s.tower_rounds);
-      EXPECT_EQ(a.tower_formations, s.tower_formations);
-      EXPECT_EQ(a.visited_node_count, s.visited_node_count);
-      EXPECT_EQ(a.cover_time, s.cover_time);
-      const CoverageReport ca = batch.coverage_report(b);
-      const CoverageReport cs = solo.coverage_report();
-      EXPECT_EQ(ca.visit_counts, cs.visit_counts);
-      EXPECT_EQ(ca.max_revisit_gap, cs.max_revisit_gap);
-      EXPECT_EQ(ca.max_closed_gap, cs.max_closed_gap);
+      expect_same_lane(batch, b, solo);
     }
   }
 }
 
-TEST(CycleFastForwardBatchTest, ForcedCollisionsInBatchLanes) {
+TEST(CycleFastForwardBatchTest, RoundRobinSsyncAndAsyncLanes) {
+  // The batch twin of SsyncRoundRobinActivation and AsyncRoundRobinPhases,
+  // at ragged horizons: lanes sample the lattice of
+  // the devirtualized round-robin kernels, and ASYNC lanes compare their
+  // one-hot phase planes and pending views against the anchor.
+  constexpr std::uint32_t kBatch = 8;
+  const Ring ring(6);
+  const auto horizon_of = [](std::uint32_t b) {
+    return kHorizon + 61 * (b % 5);
+  };
+  for (const ExecutionModel model :
+       {ExecutionModel::kSsync, ExecutionModel::kAsync}) {
+    SCOPED_TRACE(to_string(model));
+    std::vector<BatchReplica> replicas(kBatch);
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      BatchReplica& replica = replicas[b];
+      replica.algorithm = make_algorithm("pef3+", b + 1);
+      replica.ssync_adversary = std::make_unique<SsyncObliviousAdversary>(
+          make_schedule(ring, Topo::kRing, true));
+      if (model == ExecutionModel::kSsync) {
+        replica.activation = std::make_unique<RoundRobinActivation>();
+      } else {
+        replica.phases = std::make_unique<RoundRobinPhases>();
+      }
+      replica.placements = random_placements(ring, 3, b + 1);
+      replica.horizon = horizon_of(b);
+    }
+    BatchEngineOptions options;
+    options.fast_forward = true;
+    BatchEngine batch(ring, model, std::move(replicas), options);
+    batch.run_all();
+
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      SCOPED_TRACE("replica " + std::to_string(b));
+      Engine solo = make_round_robin_engine(
+          model, ring, b + 1, random_placements(ring, 3, b + 1),
+          EngineOptions{});
+      solo.run(horizon_of(b));
+      EXPECT_TRUE(batch.fast_forwarded(b));
+      EXPECT_LT(batch.rounds_simulated(b), horizon_of(b));
+      EXPECT_EQ(batch.detected_period(b) % 3, 0u);
+      expect_same_lane(batch, b, solo);
+    }
+  }
+}
+
+TEST(CycleFastForwardBatchTest, AsyncLanesComparePhasePlanes) {
+  // The batch twin of AsyncPhaseMachinesAreComparedState: a lane's pose
+  // repeats after one tick, its one-hot phase planes do not.
+  constexpr std::uint32_t kBatch = 4;
+  const Ring ring(6);
+  std::vector<BatchReplica> replicas(kBatch);
+  for (std::uint32_t b = 0; b < kBatch; ++b) {
+    BatchReplica& replica = replicas[b];
+    replica.algorithm = make_algorithm("keep-direction", b + 1);
+    replica.ssync_adversary = std::make_unique<SsyncObliviousAdversary>(
+        std::make_shared<StaticSchedule>(ring));
+    replica.phases = std::make_unique<RoundRobinPhases>();
+    replica.placements = random_placements(ring, 1, b + 1);
+    replica.horizon = kHorizon;
+  }
+  BatchEngineOptions options;
+  options.fast_forward = true;
+  BatchEngine batch(ring, ExecutionModel::kAsync, std::move(replicas),
+                    options);
+  batch.run_all();
+  for (std::uint32_t b = 0; b < kBatch; ++b) {
+    SCOPED_TRACE("replica " + std::to_string(b));
+    Engine solo(ring, make_algorithm("keep-direction", b + 1),
+                std::make_unique<SsyncObliviousAdversary>(
+                    std::make_shared<StaticSchedule>(ring)),
+                std::make_unique<RoundRobinPhases>(),
+                random_placements(ring, 1, b + 1), EngineOptions{});
+    solo.run(kHorizon);
+    EXPECT_TRUE(batch.fast_forwarded(b));
+    EXPECT_EQ(batch.detected_period(b), 18u);
+    expect_same_lane(batch, b, solo);
+  }
+}
+
+TEST(CycleFastForwardBatchTest, FourLaneBatchMatchesSoloPlainEngines) {
   constexpr std::uint32_t kBatch = 4;
   const Ring ring(6);
   std::vector<BatchReplica> replicas(kBatch);
@@ -347,8 +506,7 @@ TEST(CycleFastForwardBatchTest, ForcedCollisionsInBatchLanes) {
     replica.horizon = kHorizon;
   }
   BatchEngineOptions options;
-  options.fast_forward.enabled = true;
-  options.fast_forward.hash_mask = 0xF;  // constant collisions
+  options.fast_forward = true;
   BatchEngine batch(ring, ExecutionModel::kFsync, std::move(replicas),
                     options);
   batch.run_all();
