@@ -256,15 +256,17 @@ double measure_engine_rps(ExecutionModel model, std::uint32_t n,
     }
     case ExecutionModel::kSsync: {
       Engine engine(ring, make_algorithm("pef3+"),
-                    std::make_unique<SsyncObliviousAdversary>(schedule),
-                    std::make_unique<FullActivation>(),
+                    std::make_unique<SsyncFromFsyncAdversary>(
+                        make_oblivious(schedule)),
+                    ActivationPolicy{ActivationRule::full()},
                     spread_placements(ring, k), options);
       return run_and_time(engine, rounds);
     }
     case ExecutionModel::kAsync: {
       Engine engine(ring, make_algorithm("pef3+"),
-                    std::make_unique<SsyncObliviousAdversary>(schedule),
-                    std::make_unique<LockstepPhases>(),
+                    std::make_unique<SsyncFromFsyncAdversary>(
+                        make_oblivious(schedule)),
+                    PhaseScheduler{ActivationRule::full()},
                     spread_placements(ring, k), options);
       return run_and_time(engine, rounds);
     }

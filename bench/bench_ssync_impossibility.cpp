@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
     SsyncSimulator ssync(ring, make_algorithm(name, 3),
                          std::make_unique<SsyncBlockingAdversary>(ring),
-                         std::make_unique<RoundRobinActivation>(),
+                         ActivationRule::round_robin(),
                          spread_placements(ring, kRobots));
     ssync.run(kHorizon);
     std::uint64_t moves = 0;
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     const Ring ring(kNodes);
     AsyncSimulator async(ring, make_algorithm(name, 3),
                          std::make_unique<AsyncMoveBlocker>(ring),
-                         std::make_unique<RoundRobinPhases>(),
+                         ActivationRule::round_robin(),
                          spread_placements(ring, kRobots));
     async.run(kHorizon);
     std::uint64_t moves = 0;
@@ -161,12 +161,12 @@ int main(int argc, char** argv) {
     if (model == ExecutionModel::kSsync) {
       engine.emplace(ring, make_algorithm("pef3+"),
                      std::make_unique<SsyncBlockingAdversary>(ring),
-                     std::make_unique<RoundRobinActivation>(),
+                     ActivationPolicy{ActivationRule::round_robin()},
                      spread_placements(ring, kRobots));
     } else {
       engine.emplace(ring, make_algorithm("pef3+"),
                      std::make_unique<AsyncMoveBlocker>(ring),
-                     std::make_unique<RoundRobinPhases>(),
+                     PhaseScheduler{ActivationRule::round_robin()},
                      spread_placements(ring, kRobots));
     }
     const auto start = std::chrono::steady_clock::now();

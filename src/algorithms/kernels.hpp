@@ -150,6 +150,35 @@ inline void kernel_compute(const KernelSpec& spec, const View& view,
   }
 }
 
+/// The PEF_3+ family: Algorithm 1 and its two rule ablations.
+template <KernelId Id>
+inline constexpr bool kPef3Family = Id == KernelId::kPef3Plus ||
+                                    Id == KernelId::kPef3PlusNoRule2 ||
+                                    Id == KernelId::kPef3PlusNoRule3;
+
+/// The PEF_3+ family's Compute on a View with both adjacent edges present,
+/// as byte arithmetic over 0/1 bytes — the form BatchEngine's full-ring
+/// FSYNC pass runs as one vectorizable loop over contiguous planes.  The
+/// turn bit (XOR it into `dir`) from HasMovedPreviousStep and the
+/// multiplicity bit; line 4 then reads a present edge, so
+/// HasMovedPreviousStep becomes both_edges_has_moved.  kernels_test checks
+/// both against every truth-table row with ahead and behind present.
+template <KernelId Id>
+[[nodiscard]] inline std::uint8_t both_edges_turn(std::uint8_t has_moved,
+                                                  std::uint8_t others) {
+  static_assert(kPef3Family<Id>);
+  if constexpr (Id == KernelId::kPef3Plus) {
+    return has_moved & others;  // Rule 3 (line 1): moved onto a tower
+  } else if constexpr (Id == KernelId::kPef3PlusNoRule2) {
+    (void)has_moved;
+    return others;  // no HasMoved guard
+  } else {
+    (void)has_moved, (void)others;
+    return 0;  // never turns
+  }
+}
+inline constexpr std::uint8_t both_edges_has_moved = 1;
+
 /// Invoke `fn` with the KernelId lifted to a compile-time template
 /// argument: the single dispatch point of the kernel path.
 template <typename Fn>

@@ -439,18 +439,11 @@ template <KernelId Id, bool AllFull>
       std::uint8_t* const __restrict hm = khas_moved + base;
       const std::uint8_t* const __restrict c = cw + base;
       NodeId* const __restrict nd = node + base;
-      if constexpr (Id == KernelId::kPef3Plus) {
+      if constexpr (kPef3Family<Id>) {
         for (std::uint32_t l = l0; l < l1; ++l) {
-          d[l] ^= static_cast<std::uint8_t>(hm[l] & m[l]);
-          hm[l] = 1;
+          d[l] ^= both_edges_turn<Id>(hm[l], m[l]);
+          hm[l] = both_edges_has_moved;
         }
-      } else if constexpr (Id == KernelId::kPef3PlusNoRule2) {
-        for (std::uint32_t l = l0; l < l1; ++l) {
-          d[l] ^= m[l];
-          hm[l] = 1;
-        }
-      } else if constexpr (Id == KernelId::kPef3PlusNoRule3) {
-        for (std::uint32_t l = l0; l < l1; ++l) hm[l] = 1;
       }
       for (std::uint32_t l = l0; l < l1; ++l) {
         const NodeId u = nd[l];
@@ -547,26 +540,16 @@ void fsync_pass_run(const FsyncPassArgs& a) {
 
 std::uint32_t batch_break_even(ExecutionModel model, std::uint32_t n,
                                std::uint32_t k) {
-  (void)n;
+  (void)model, (void)n;
   // Below 4 replicas the batch runs the stamped multiplicity path and the
   // solo Engine's incremental occupancy histogram wins (the measured B=1
   // regression was ~0.94x); by B=4 the replica-stride passes amortize on
-  // every model.  Huge robot counts push the crossover up: the batch pays
-  // O(k^2) row compares where the solo engine pays O(k).
-  std::uint32_t base = 4;
-  switch (model) {
-    case ExecutionModel::kFsync:
-      base = 4;
-      break;
-    case ExecutionModel::kSsync:
-    case ExecutionModel::kAsync:
-      // Sparse activation keeps per-round batch overhead (mask fill) low
-      // but the solo engine is also cheaper per round; same knee.
-      base = 4;
-      break;
-  }
-  if (k >= 48) base = 8;  // stamped-multiplicity regime amortizes later
-  return base;
+  // every model (sparse SSYNC/ASYNC activation keeps the batch's mask fill
+  // cheap, but the solo engine is cheaper per round too: same knee).  Huge
+  // robot counts push the crossover up: the batch pays O(k^2) row compares
+  // where the solo engine pays O(k), and the stamped-multiplicity regime
+  // amortizes later.
+  return k >= 48 ? 8 : 4;
 }
 
 std::uint32_t preferred_batch_width(ExecutionModel model, std::uint32_t n,
@@ -615,12 +598,12 @@ void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
     case ExecutionModel::kSsync:
       replica.ssync_adversary =
           std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-      replica.activation = standard_ssync_activation(activation_p, seed);
+      replica.activation = standard_ssync_activation(activation_p, seed).rule;
       break;
     case ExecutionModel::kAsync:
       replica.ssync_adversary =
           std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-      replica.phases = standard_async_phases(activation_p, seed);
+      replica.activation = standard_async_phases(activation_p, seed).rule;
       break;
   }
 }
@@ -721,8 +704,7 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   specs_.resize(batch_);
   adversaries_.resize(batch_);
   ssync_advs_.resize(batch_);
-  activations_.resize(batch_);
-  phase_schedulers_.resize(batch_);
+  act_rules_.resize(batch_);
   schedules_.assign(batch_, nullptr);
   mirrors_.resize(batch_);
   horizons_.resize(batch_);
@@ -814,10 +796,6 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
         }
       }
     }
-    act_kind_.assign(batch_,
-                     static_cast<std::uint8_t>(ActivationBatchKind::kVirtual));
-    act_p_.assign(batch_, 0.0);
-    act_rng_.assign(batch_, Xoshiro256(0));
     occ_.assign(std::size_t{batch_} * nodes_, 0);
     multi_nodes_.assign(batch_, 0);
     move_log_.resize(std::size_t{robots_} * batch_);
@@ -843,12 +821,8 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
     cycles_.resize(batch_);
     bool any_eligible = false;
     for (std::uint32_t l = 0; l < batch_; ++l) {
-      const std::optional<EnvLattice> lattice = env_lattice(
-          schedules_[l],
-          model_ == ExecutionModel::kFsync
-              ? ActivationBatchKind::kFull
-              : static_cast<ActivationBatchKind>(act_kind_[l]),
-          robots_);
+      const std::optional<EnvLattice> lattice =
+          env_lattice(schedules_[l], act_rules_[l].kind, robots_);
       if (!lattice) continue;
       cycles_[l].start(*lattice, 1);
       any_eligible = true;
@@ -888,14 +862,9 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
       PEF_CHECK(replica.adversary->ring() == ring_);
       break;
     case ExecutionModel::kSsync:
-      PEF_CHECK(replica.ssync_adversary != nullptr);
-      PEF_CHECK(replica.ssync_adversary->ring() == ring_);
-      PEF_CHECK(replica.activation != nullptr);
-      break;
     case ExecutionModel::kAsync:
       PEF_CHECK(replica.ssync_adversary != nullptr);
       PEF_CHECK(replica.ssync_adversary->ring() == ring_);
-      PEF_CHECK(replica.phases != nullptr);
       break;
   }
 
@@ -914,8 +883,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   specs_[lane] = kernel;
   adversaries_[lane] = std::move(replica.adversary);
   ssync_advs_[lane] = std::move(replica.ssync_adversary);
-  activations_[lane] = std::move(replica.activation);
-  phase_schedulers_[lane] = std::move(replica.phases);
+  if (model_ != ExecutionModel::kFsync) act_rules_[lane] = replica.activation;
   horizons_[lane] = replica.horizon;
 
   for (std::uint32_t i = 0; i < robots_; ++i) {
@@ -939,57 +907,15 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
 
   // Route the lane's edge sets: schedule-backed lanes fill their plane row
   // in place (time-invariant ones once, here); everything else keeps a
-  // per-lane EdgeSet scratch for the virtual adversary.  Mirrors are lazy —
-  // materialized below only if something on this lane reads gamma.
-  bool needs_mirror = false;
-  switch (model_) {
-    case ExecutionModel::kFsync: {
-      if (const auto* oblivious = dynamic_cast<const ObliviousAdversary*>(
-              adversaries_[lane].get())) {
-        schedules_[lane] = oblivious->schedule().get();
-      } else {
-        needs_mirror = true;
-      }
-      break;
+  // per-lane EdgeSet scratch for the virtual adversary and a gamma mirror
+  // for it to read.
+  if (model_ == ExecutionModel::kFsync) {
+    if (const auto* oblivious = dynamic_cast<const ObliviousAdversary*>(
+            adversaries_[lane].get())) {
+      schedules_[lane] = oblivious->schedule().get();
     }
-    case ExecutionModel::kSsync:
-    case ExecutionModel::kAsync: {
-      schedules_[lane] = ssync_advs_[lane]->oblivious_schedule();
-      needs_mirror = schedules_[lane] == nullptr;
-
-      // Devirtualize the activation policy / phase scheduler when it
-      // advertises a batched kernel; Bernoulli lanes additionally seed
-      // their slot of the RNG plane from the policy's own (untouched)
-      // stream so the batched draws replay it bit-for-bit.  A policy whose
-      // batch_kind() lies about its dynamic type falls back to kVirtual.
-      ActivationBatchKind kind = ActivationBatchKind::kVirtual;
-      if (model_ == ExecutionModel::kSsync) {
-        kind = activations_[lane]->batch_kind();
-        if (kind == ActivationBatchKind::kBernoulli) {
-          if (const auto* bernoulli = dynamic_cast<const BernoulliActivation*>(
-                  activations_[lane].get())) {
-            act_p_[lane] = bernoulli->p();
-            act_rng_[lane] = bernoulli->rng();
-          } else {
-            kind = ActivationBatchKind::kVirtual;
-          }
-        }
-      } else {
-        kind = phase_schedulers_[lane]->batch_kind();
-        if (kind == ActivationBatchKind::kBernoulli) {
-          if (const auto* bernoulli = dynamic_cast<const BernoulliPhases*>(
-                  phase_schedulers_[lane].get())) {
-            act_p_[lane] = bernoulli->p();
-            act_rng_[lane] = bernoulli->rng();
-          } else {
-            kind = ActivationBatchKind::kVirtual;
-          }
-        }
-      }
-      act_kind_[lane] = static_cast<std::uint8_t>(kind);
-      needs_mirror = needs_mirror || kind == ActivationBatchKind::kVirtual;
-      break;
-    }
+  } else {
+    schedules_[lane] = ssync_advs_[lane]->oblivious_schedule();
   }
 
   if (schedules_[lane] != nullptr && schedules_[lane]->time_invariant()) {
@@ -1000,8 +926,6 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   }
   if (schedules_[lane] == nullptr) {
     edges_[lane] = EdgeSet(edge_count_);
-  }
-  if (needs_mirror) {
     mirrors_[lane] = std::make_unique<Configuration>(snapshot_lane(lane));
   }
 }
@@ -1291,6 +1215,7 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
                                   Time t) {
   const std::uint32_t k = robots_;
   const std::uint32_t lw = lane_words_;
+  const std::uint32_t rw = robot_words(k);
   std::uint64_t* const words = mask_words_.data();
   // Clear only this slice's word columns (l0 is 64-aligned, so [w0, w1)
   // covers exactly the slice's bits plus the final word's dead tail).
@@ -1301,126 +1226,56 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
               words + std::size_t{i} * lw + w1, 0);
   }
 
-  // Bernoulli fast path, four lanes at a time: each lane's draws are a
-  // serial xoshiro dependency chain, so interleaving four independent
-  // chains multiplies the instruction-level parallelism of the fill (draw
-  // order WITHIN each lane is unchanged — bit-identity holds, whatever
-  // lane grouping a slice boundary induces).  k <= 64 keeps each lane's
-  // activation set in one register.
-  std::uint32_t l = l0;
-  if (k <= 64) {
-    const auto bernoulli =
-        static_cast<std::uint8_t>(ActivationBatchKind::kBernoulli);
-    while (l + 4 <= l1 && act_kind_[l] == bernoulli &&
-           act_kind_[l + 1] == bernoulli && act_kind_[l + 2] == bernoulli &&
-           act_kind_[l + 3] == bernoulli) {
-      Xoshiro256 rng[4] = {act_rng_[l], act_rng_[l + 1], act_rng_[l + 2],
-                           act_rng_[l + 3]};
-      const double p[4] = {act_p_[l], act_p_[l + 1], act_p_[l + 2],
-                           act_p_[l + 3]};
-      std::uint64_t bits[4] = {0, 0, 0, 0};
-      for (std::uint32_t i = 0; i < k; ++i) {
-        bits[0] |= std::uint64_t{rng[0].next_bool(p[0])} << i;
-        bits[1] |= std::uint64_t{rng[1].next_bool(p[1])} << i;
-        bits[2] |= std::uint64_t{rng[2].next_bool(p[2])} << i;
-        bits[3] |= std::uint64_t{rng[3].next_bool(p[3])} << i;
-      }
-      for (std::uint32_t j = 0; j < 4; ++j) {
-        if (bits[j] == 0) bits[j] = 1ULL << rng[j].next_below(k);
-        act_rng_[l + j] = rng[j];
-        const std::uint32_t word = (l + j) >> 6;
-        const std::uint64_t bit = 1ULL << ((l + j) & 63);
-        std::uint64_t b = bits[j];
-        while (b != 0) {
-          const auto i = static_cast<std::uint32_t>(__builtin_ctzll(b));
-          b &= b - 1;
-          words[std::size_t{i} * lw + word] |= bit;
-        }
-      }
-      l += 4;
-    }
+  // Up to four lanes' robot bitsets, scattered into their lane's bit
+  // column: one stack word per lane when k <= 64.  Slice-local, since a
+  // member would be shared across the worker slices.
+  std::uint64_t one_word[4];
+  std::vector<std::uint64_t> multi_word;
+  std::uint64_t* sets = one_word;
+  if (rw > 1) {
+    multi_word.resize(std::size_t{4} * rw);
+    sets = multi_word.data();
   }
-
-  // Per-slice scratch for the virtual policies: members would be shared
-  // across the worker slices.  Constructing the vectors is free; they only
-  // allocate when a virtual lane actually appears in this slice.
-  ActivationMask virt_mask;
-  std::vector<Phase> virt_phases;
-  for (; l < l1; ++l) {
-    const std::uint32_t word = l >> 6;
-    const std::uint64_t bit = 1ULL << (l & 63);
-    switch (static_cast<ActivationBatchKind>(act_kind_[l])) {
-      case ActivationBatchKind::kFull:
-        for (std::uint32_t i = 0; i < k; ++i) {
-          words[std::size_t{i} * lw + word] |= bit;
-        }
-        break;
-      case ActivationBatchKind::kRoundRobin:
-        words[std::size_t{t % k} * lw + word] |= bit;
-        break;
-      case ActivationBatchKind::kBernoulli: {
-        // Draw-for-draw replay of BernoulliActivation::activate /
-        // BernoulliPhases::advance: k Bernoulli trials in robot order, then
-        // the forced-nonempty fallback from the same stream.  The RNG runs
-        // on a LOCAL copy (written back after the lane) and the k <= 64
-        // case accumulates into one register: no stores inside the draw
-        // loop, so the generator state stays in registers instead of
-        // round-tripping memory per draw (the plane stores could alias the
-        // rng plane otherwise).
-        Xoshiro256 rng = act_rng_[l];
-        const double p = act_p_[l];
-        if (k <= 64) {
-          std::uint64_t robots_bits = 0;
-          for (std::uint32_t i = 0; i < k; ++i) {
-            robots_bits |= std::uint64_t{rng.next_bool(p)} << i;
-          }
-          if (robots_bits == 0) robots_bits = 1ULL << rng.next_below(k);
-          while (robots_bits != 0) {
-            const auto i =
-                static_cast<std::uint32_t>(__builtin_ctzll(robots_bits));
-            robots_bits &= robots_bits - 1;
-            words[std::size_t{i} * lw + word] |= bit;
-          }
-        } else {
-          bool any = false;
-          for (std::uint32_t i = 0; i < k; ++i) {
-            if (rng.next_bool(p)) {
-              words[std::size_t{i} * lw + word] |= bit;
-              any = true;
-            }
-          }
-          if (!any) {
-            words[std::size_t{rng.next_below(k)} * lw + word] |= bit;
-          }
-        }
-        act_rng_[l] = rng;
-        break;
-      }
-      case ActivationBatchKind::kVirtual: {
-        if (model_ == ExecutionModel::kSsync) {
-          activations_[l]->activate(t, *mirrors_[l], virt_mask);
-        } else {
-          // Reconstruct the lane's Phase vector from the one-hot planes
-          // for the scheduler's (rarely taken) virtual interface.
-          virt_phases.resize(k);
-          for (std::uint32_t i = 0; i < k; ++i) {
-            const std::size_t at = std::size_t{i} * lw + word;
-            virt_phases[i] = (look_words_[at] >> (l & 63)) & 1ULL
-                                 ? Phase::kLook
-                             : (compute_words_[at] >> (l & 63)) & 1ULL
-                                 ? Phase::kCompute
-                                 : Phase::kMove;
-          }
-          phase_schedulers_[l]->advance(t, *mirrors_[l], virt_phases,
-                                        virt_mask);
-        }
-        PEF_CHECK(virt_mask.size() == k);
-        for (std::uint32_t i = 0; i < k; ++i) {
-          if (virt_mask[i] != 0) words[std::size_t{i} * lw + word] |= bit;
-        }
-        break;
+  const auto scatter = [&](const std::uint64_t* set, std::uint32_t lane) {
+    const std::uint32_t word = lane >> 6;
+    const std::uint64_t bit = 1ULL << (lane & 63);
+    for (std::uint32_t w = 0; w < rw; ++w) {
+      std::uint64_t b = set[w];
+      while (b != 0) {
+        const auto i =
+            64 * w + static_cast<std::uint32_t>(__builtin_ctzll(b));
+        b &= b - 1;
+        words[std::size_t{i} * lw + word] |= bit;
       }
     }
+  };
+
+  // Bernoulli lanes four at a time: each lane's draws are a serial
+  // xoshiro dependency chain, so interleaving four independent chains
+  // multiplies the instruction-level parallelism of the fill (draw order
+  // WITHIN each lane is unchanged — bit-identity holds, whatever lane
+  // grouping a slice boundary induces).
+  std::uint32_t l = l0;
+  const auto bernoulli = [&](std::uint32_t lane) {
+    return act_rules_[lane].kind == ActivationKind::kBernoulli;
+  };
+  while (l + 4 <= l1 && bernoulli(l) && bernoulli(l + 1) &&
+         bernoulli(l + 2) && bernoulli(l + 3)) {
+    ActivationRule* const rule = act_rules_.data() + l;
+    Xoshiro256 rng[4] = {rule[0].rng, rule[1].rng, rule[2].rng, rule[3].rng};
+    const double p[4] = {rule[0].p, rule[1].p, rule[2].p, rule[3].p};
+    std::uint64_t* const out[4] = {sets, sets + rw, sets + 2 * rw,
+                                   sets + 3 * rw};
+    bernoulli_activation(rng, p, k, out);
+    for (std::uint32_t j = 0; j < 4; ++j) {
+      rule[j].rng = rng[j];
+      scatter(out[j], l + j);
+    }
+    l += 4;
+  }
+  for (; l < l1; ++l) {
+    fill_activation(act_rules_[l], t, k, sets);
+    scatter(sets, l);
   }
 }
 
@@ -1847,8 +1702,7 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(specs_[a], specs_[b]);
   swap(adversaries_[a], adversaries_[b]);
   swap(ssync_advs_[a], ssync_advs_[b]);
-  swap(activations_[a], activations_[b]);
-  swap(phase_schedulers_[a], phase_schedulers_[b]);
+  swap(act_rules_[a], act_rules_[b]);
   swap(schedules_[a], schedules_[b]);
   swap(mirrors_[a], mirrors_[b]);
   swap(horizons_[a], horizons_[b]);
@@ -1862,9 +1716,6 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(stats_[a], stats_[b]);
   if (!cycles_.empty()) swap(cycles_[a], cycles_[b]);
   if (model_ != ExecutionModel::kFsync) {
-    swap(act_kind_[a], act_kind_[b]);
-    swap(act_p_[a], act_p_[b]);
-    swap(act_rng_[a], act_rng_[b]);
     swap(multi_nodes_[a], multi_nodes_[b]);
     std::swap_ranges(occ_.begin() + ra, occ_.begin() + ra + nodes_,
                      occ_.begin() + rb);

@@ -50,25 +50,24 @@
 //     construction and never refill, and a round whose live rows are all
 //     full runs the FSYNC AllFull instantiation with no edge tests at all.
 //   * SSYNC activation masks and ASYNC advance/move masks are robot-major
-//     uint64 WORD planes (bit = replica).  The common policies — full,
-//     Bernoulli-p, round-robin — are devirtualized (ActivationBatchKind,
-//     enum-dispatched like KernelId): one pass fills every replica's mask
-//     words from a per-replica RNG plane seeded with the policy's own
-//     stream, bit-identical to the virtual calls it replaces.  The SSYNC /
-//     ASYNC passes then iterate mask words (ctz over set bits) instead of
+//     uint64 WORD planes (bit = replica).  Each lane holds its own
+//     ActivationRule (full, round-robin or Bernoulli-p; scheduler/ssync.hpp)
+//     and one pass fills every lane's mask bits through fill_activation —
+//     the function Engine and the reference simulators call — with
+//     Bernoulli lanes drawn four at a time by the same bernoulli_activation,
+//     so each lane replays its solo run's stream draw for draw.  The SSYNC
+//     / ASYNC passes then iterate mask words (ctz over set bits) instead of
 //     testing every (robot, replica) byte.
 //   * Configuration mirrors are materialized LAZILY: only replicas whose
-//     adversary or activation policy actually sees gamma (adaptive
-//     lower-bound families, exotic virtual policies) carry one; everything
-//     else skips the per-round mirror refresh entirely.
+//     edge adversary is adaptive (it sees gamma) carry one; everything else
+//     skips the per-round mirror refresh entirely.
 //   * replicas that reach their horizon are compacted out (their lane is
 //     swapped with the last live lane), so the inner loops always run over
 //     a dense prefix of live replicas and a ragged batch never idles.
 //
 // Results are BIT-IDENTICAL to B independent Engine runs: per-replica
-// adversaries / activation policies / phase schedulers consume the same
-// streams in the same order as a solo run (batched Bernoulli kernels replay
-// the policy's RNG stream draw-for-draw).  tests/batch_engine_test.cpp
+// adversaries and activation rules consume the same streams in the same
+// order as a solo run.  tests/batch_engine_test.cpp
 // steps a batch round by round next to B solo Engines and pins every live
 // replica's configuration and stats after every round, then final stats and
 // coverage through both step() and the tiled run_all(), across every
@@ -115,10 +114,9 @@ struct BatchReplica {
   /// SSYNC / ASYNC: the per-replica edge adversary (sees the activation /
   /// moving mask).
   std::unique_ptr<SsyncAdversary> ssync_adversary;
-  /// SSYNC: selects the L-C-M subset each round.
-  std::unique_ptr<ActivationPolicy> activation;
-  /// ASYNC: advances the per-robot phase machines each tick.
-  std::unique_ptr<PhaseScheduler> phases;
+  /// SSYNC: selects the L-C-M subset each round.  ASYNC: selects the
+  /// robots that advance one phase each tick.  Unread under FSYNC.
+  ActivationRule activation;
 
   std::vector<RobotPlacement> placements;
 
@@ -357,17 +355,14 @@ class BatchEngine {
     return edge_plane_.data() + std::size_t{lane} * edge_words_per_row_;
   }
 
-  /// The batched activation prologue shared by SSYNC (activation policies)
-  /// and ASYNC (phase schedulers): clear the mask word plane, then fill
-  /// the bits of lanes [l0, l1) (a whole-word range) — devirtualized
-  /// kernels (full / round-robin / Bernoulli over the act_rng_ plane)
-  /// inline per lane; kVirtual lanes call the policy into a scratch byte
-  /// mask and transpose.
+  /// The batched activation prologue shared by SSYNC (activation) and
+  /// ASYNC (phase advance): clear the mask word plane, then set the bits
+  /// of lanes [l0, l1) (a whole-word range) from each lane's rule.
   void fill_mask_words(std::uint32_t l0, std::uint32_t l1, Time t);
   /// ASYNC: moving = advancing AND (phase == Move), word columns [l0, l1).
   void fill_moving_words(std::uint32_t l0, std::uint32_t l1);
   /// Lane `lane`'s column of a mask word plane as a 0/1 byte mask (the
-  /// virtual-adversary path still speaks ActivationMask).
+  /// adaptive-adversary path speaks ActivationMask).
   void extract_lane_mask(const std::uint64_t* plane, std::uint32_t lane,
                          ActivationMask& out) const;
 
@@ -386,8 +381,8 @@ class BatchEngine {
   /// the tower flags which recompute_multiplicity owns).
   void observe_boundary(Time t, std::uint32_t l0, std::uint32_t l1);
   /// Refresh the gamma mirrors of lanes [l0, l1) from the planes (dirs +
-  /// positions).  Mirrors are lazy: only lanes whose adversary / policy
-  /// sees gamma carry one, everything else is skipped.
+  /// positions).  Mirrors are lazy: only lanes whose adversary sees gamma
+  /// carry one, everything else is skipped.
   void update_mirrors(std::uint32_t l0, std::uint32_t l1);
   /// Per-lane end-of-round bookkeeping for lanes [l0, l1) at round-end
   /// time t1: tower stats, round counters.
@@ -430,8 +425,9 @@ class BatchEngine {
   std::vector<KernelSpec> specs_;
   std::vector<AdversaryPtr> adversaries_;                    // FSYNC
   std::vector<std::unique_ptr<SsyncAdversary>> ssync_advs_;  // SSYNC/ASYNC
-  std::vector<std::unique_ptr<ActivationPolicy>> activations_;
-  std::vector<std::unique_ptr<PhaseScheduler>> phase_schedulers_;
+  /// Per-lane activation rules (kFull under FSYNC); Bernoulli lanes
+  /// advance their stream in place.
+  std::vector<ActivationRule> act_rules_;
   /// Non-null iff the lane's edge sets are a pure function of time (FSYNC
   /// oblivious adversary, or an SSYNC/ASYNC adversary exposing
   /// oblivious_schedule()): the lane's plane row is filled straight from
@@ -510,13 +506,6 @@ class BatchEngine {
   /// word AND per robot-word) — what the edge adversary and the Move pass
   /// see.  Snapshotted before the tick's phase transitions.
   PlaneVector<std::uint64_t> moving_words_;
-
-  // The devirtualized activation state (SSYNC policies / ASYNC phase
-  // schedulers share ActivationBatchKind): per-lane kind, Bernoulli p and
-  // the per-replica RNG plane seeded from each policy's own stream.
-  std::vector<std::uint8_t> act_kind_;
-  std::vector<double> act_p_;
-  std::vector<Xoshiro256> act_rng_;
 
   // ASYNC phase machines as ONE-HOT word planes (same geometry as
   // mask_words_): a robot's phase is which plane holds its lane bit.

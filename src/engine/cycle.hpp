@@ -73,17 +73,16 @@ struct EnvLattice {
 /// The lattice of a run whose edges come from `schedule` (null: an adaptive
 /// adversary) and whose robots act under `activation` (kFull for FSYNC)
 /// with `robots` robots — or nullopt when the run's future is not a pure
-/// function of its sampled state (adaptive edges, Bernoulli or unknown
-/// virtual activation, no known edge recurrence) or the lattice is coarser
-/// than kMaxEnvPeriod.  The one eligibility rule Engine and BatchEngine
-/// share.
+/// function of its sampled state (adaptive edges, Bernoulli activation, no
+/// known edge recurrence) or the lattice is coarser than kMaxEnvPeriod.
+/// The one eligibility rule Engine and BatchEngine share.
 [[nodiscard]] inline std::optional<EnvLattice> env_lattice(
-    const EdgeSchedule* schedule, ActivationBatchKind activation,
+    const EdgeSchedule* schedule, ActivationKind activation,
     std::uint32_t robots) {
   Time activation_period = 1;
-  if (activation == ActivationBatchKind::kRoundRobin) {
+  if (activation == ActivationKind::kRoundRobin) {
     activation_period = robots;
-  } else if (activation != ActivationBatchKind::kFull) {
+  } else if (activation != ActivationKind::kFull) {
     return std::nullopt;
   }
   if (schedule == nullptr) return std::nullopt;

@@ -58,7 +58,7 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
 
 Engine::Engine(Ring ring, AlgorithmPtr algorithm,
                std::unique_ptr<SsyncAdversary> adversary,
-               std::unique_ptr<ActivationPolicy> activation,
+               ActivationPolicy activation,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
     : ring_(ring),
@@ -66,19 +66,18 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
       model_(ExecutionModel::kSsync),
       options_(options),
       ssync_adversary_(std::move(adversary)),
-      activation_(std::move(activation)) {
+      activation_(activation.rule) {
   PEF_CHECK(ssync_adversary_ != nullptr);
-  PEF_CHECK(activation_ != nullptr);
   PEF_CHECK(ssync_adversary_->ring() == ring_);
   init(placements);
-  // Policies and SSYNC adversaries see gamma every round: keep one
-  // persistent mirror, updated in place as robots act.
+  // SSYNC adversaries see gamma every round: keep one persistent mirror,
+  // updated in place as robots act.
   gamma_mirror_ = std::make_unique<Configuration>(snapshot());
 }
 
 Engine::Engine(Ring ring, AlgorithmPtr algorithm,
                std::unique_ptr<SsyncAdversary> adversary,
-               std::unique_ptr<PhaseScheduler> phases,
+               PhaseScheduler phases,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
     : ring_(ring),
@@ -86,9 +85,8 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
       model_(ExecutionModel::kAsync),
       options_(options),
       ssync_adversary_(std::move(adversary)),
-      phase_scheduler_(std::move(phases)) {
+      activation_(phases.rule) {
   PEF_CHECK(ssync_adversary_ != nullptr);
-  PEF_CHECK(phase_scheduler_ != nullptr);
   PEF_CHECK(ssync_adversary_->ring() == ring_);
   init(placements);
   phases_.assign(node_.size(), Phase::kLook);
@@ -332,8 +330,7 @@ void Engine::step_fsync() {
 void Engine::step_ssync() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
-  activation_->activate(now_, *gamma_mirror_, mask_);
-  PEF_CHECK(mask_.size() == k);
+  fill_activation(activation_, now_, k, mask_set_, mask_);
   ssync_adversary_->choose_edges_into(now_, *gamma_mirror_, mask_, edges_);
   PEF_CHECK(edges_.edge_count() == ring_.edge_count());
 
@@ -394,8 +391,7 @@ void Engine::step_ssync() {
 void Engine::step_async() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
-  phase_scheduler_->advance(now_, *gamma_mirror_, phases_, mask_);
-  PEF_CHECK(mask_.size() == k);
+  fill_activation(activation_, now_, k, mask_set_, mask_);
 
   // The adversary sees which robots fire their Move phase this tick (the
   // only phase that interacts with edges).  One pass splits the advancing
@@ -476,15 +472,10 @@ std::optional<EnvLattice> Engine::cycle_lattice() const {
   // A trace must record each round, so tracing never fast-forwards; the
   // rest is env_lattice's rule.
   if (options_.record_trace) return std::nullopt;
-  const EdgeSchedule* schedule = schedule_;  // FSYNC: non-null iff oblivious
-  ActivationBatchKind activation = ActivationBatchKind::kFull;
-  if (model_ != ExecutionModel::kFsync) {
-    schedule = ssync_adversary_->oblivious_schedule();
-    activation = model_ == ExecutionModel::kSsync
-                     ? activation_->batch_kind()
-                     : phase_scheduler_->batch_kind();
-  }
-  return env_lattice(schedule, activation, robot_count());
+  const EdgeSchedule* schedule = model_ == ExecutionModel::kFsync
+                                     ? schedule_  // non-null iff oblivious
+                                     : ssync_adversary_->oblivious_schedule();
+  return env_lattice(schedule, activation_.kind, robot_count());
 }
 
 template <typename Sink>

@@ -4,11 +4,16 @@
 //
 //   FSYNC - every robot runs an atomic Look-Compute-Move every round
 //           (the paper's model; reference: scheduler/Simulator);
-//   SSYNC - an ActivationPolicy selects a subset each round, only
+//   SSYNC - an activation rule selects a subset each round, only
 //           selected robots run L-C-M (reference: SsyncSimulator);
-//   ASYNC - a PhaseScheduler advances each robot through its own
+//   ASYNC - the same rule picks the robots that advance their own
 //           Look / Compute / Move machine one phase per tick, with
 //           possibly-stale views (reference: AsyncSimulator).
+//
+// The rule is an ActivationRule (scheduler/ssync.hpp) run through
+// fill_activation, as in the reference simulators and BatchEngine; the
+// ActivationPolicy / PhaseScheduler argument types only pick the SSYNC or
+// the ASYNC constructor.
 //
 // Compute runs the algorithm's kernel (robot/kernel.hpp,
 // algorithms/kernels.hpp): enum-dispatched compute over POD state held in
@@ -25,10 +30,10 @@
 //   * a reusable EdgeSet scratch buffer: oblivious schedules and SSYNC
 //     adversaries refill it in place (choose_edges_into) — zero allocation
 //     per round;
-//   * reusable activation/phase masks: policies fill a persistent byte
-//     buffer instead of returning a fresh vector<bool> per round;
+//   * reusable activation/phase masks: fill_activation refills a
+//     persistent byte buffer instead of returning a fresh vector per round;
 //   * one persistent Configuration mirror updated in place (O(moves) per
-//     round) for adaptive adversaries and SSYNC/ASYNC policies, never a
+//     round) for adaptive adversaries and SSYNC/ASYNC adversaries, never a
 //     fresh snapshot per round;
 //   * snapshot() / trace materialization only on demand — with trace
 //     recording off, the engine keeps only O(n + k) state and a handful of
@@ -89,7 +94,7 @@ struct EngineOptions {
 
   /// Cycle detection + exact stat extrapolation for run() (engine/cycle.hpp).
   /// Only engages on fully deterministic configurations (oblivious periodic
-  /// edge schedule, non-Bernoulli activation, no trace); anything else
+  /// edge schedule, full or round-robin activation, no trace); anything else
   /// silently runs the plain round loop.  Results are bit-identical either
   /// way.
   bool fast_forward = false;
@@ -107,7 +112,7 @@ class Engine {
   /// sees the configuration and the activation mask.
   Engine(Ring ring, AlgorithmPtr algorithm,
          std::unique_ptr<SsyncAdversary> adversary,
-         std::unique_ptr<ActivationPolicy> activation,
+         ActivationPolicy activation,
          const std::vector<RobotPlacement>& placements,
          EngineOptions options = {});
 
@@ -115,7 +120,7 @@ class Engine {
   /// phase per tick; the adversary sees the set of robots whose Move fires.
   Engine(Ring ring, AlgorithmPtr algorithm,
          std::unique_ptr<SsyncAdversary> adversary,
-         std::unique_ptr<PhaseScheduler> phases,
+         PhaseScheduler phases,
          const std::vector<RobotPlacement>& placements,
          EngineOptions options = {});
 
@@ -234,10 +239,10 @@ class Engine {
 
   // FSYNC adversary (model == kFsync).
   AdversaryPtr adversary_;
-  // SSYNC/ASYNC adversary and schedulers.
+  // SSYNC/ASYNC adversary, and the activation rule (SSYNC activation or
+  // ASYNC phase schedule; full under FSYNC).
   std::unique_ptr<SsyncAdversary> ssync_adversary_;
-  std::unique_ptr<ActivationPolicy> activation_;
-  std::unique_ptr<PhaseScheduler> phase_scheduler_;
+  ActivationRule activation_;
 
   // Struct-of-arrays robot state.
   std::vector<NodeId> node_;
@@ -259,6 +264,7 @@ class Engine {
   // Reused per-round scratch.
   EdgeSet edges_;                    // E_t
   std::vector<std::uint8_t> moved_;  // per-robot moved flag (trace path)
+  std::vector<std::uint64_t> mask_set_;  // mask_ as a robot bitset
   ActivationMask mask_;              // SSYNC activation / ASYNC advancing
   ActivationMask moving_;            // ASYNC: Move phases firing this tick
   // Compacted per-round index lists (built once per round from the masks so

@@ -7,15 +7,14 @@ namespace pef {
 
 AsyncSimulator::AsyncSimulator(Ring ring, AlgorithmPtr algorithm,
                                std::unique_ptr<SsyncAdversary> adversary,
-                               std::unique_ptr<PhaseScheduler> phases,
+                               ActivationRule phases,
                                const std::vector<RobotPlacement>& placements)
     : ring_(ring),
       algorithm_(std::move(algorithm)),
       adversary_(std::move(adversary)),
-      scheduler_(std::move(phases)) {
+      scheduler_(phases) {
   PEF_CHECK(algorithm_ != nullptr);
   PEF_CHECK(adversary_ != nullptr);
-  PEF_CHECK(scheduler_ != nullptr);
   PEF_CHECK(adversary_->ring() == ring_);
   PEF_CHECK(!placements.empty());
   robots_.reserve(placements.size());
@@ -44,8 +43,8 @@ Configuration AsyncSimulator::snapshot() const {
 
 RoundRecord AsyncSimulator::step() {
   const Configuration gamma = snapshot();
-  scheduler_->advance(now_, gamma, phases_, advancing_);
-  PEF_CHECK(advancing_.size() == robots_.size());
+  fill_activation(scheduler_, now_, static_cast<std::uint32_t>(robots_.size()),
+                  advancing_set_, advancing_);
 
   // The adversary sees which robots fire their Move phase this tick (the
   // only phase that interacts with edges).

@@ -5,19 +5,6 @@
 
 namespace pef {
 
-void BernoulliActivation::activate(Time, const Configuration& gamma,
-                                   ActivationMask& mask) {
-  mask.assign(gamma.robot_count(), 0);
-  bool any = false;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    mask[i] = rng_.next_bool(p_) ? 1 : 0;
-    any = any || mask[i] != 0;
-  }
-  if (!any) {
-    mask[static_cast<std::size_t>(rng_.next_below(mask.size()))] = 1;
-  }
-}
-
 EdgeSet SsyncBlockingAdversary::choose_edges(Time t,
                                              const Configuration& gamma,
                                              const ActivationMask& activated) {
@@ -40,15 +27,14 @@ void SsyncBlockingAdversary::choose_edges_into(
 
 SsyncSimulator::SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
                                std::unique_ptr<SsyncAdversary> adversary,
-                               std::unique_ptr<ActivationPolicy> activation,
+                               ActivationRule activation,
                                const std::vector<RobotPlacement>& placements)
     : ring_(ring),
       algorithm_(std::move(algorithm)),
       adversary_(std::move(adversary)),
-      activation_(std::move(activation)) {
+      activation_(activation) {
   PEF_CHECK(algorithm_ != nullptr);
   PEF_CHECK(adversary_ != nullptr);
-  PEF_CHECK(activation_ != nullptr);
   PEF_CHECK(adversary_->ring() == ring_);
   PEF_CHECK(!placements.empty());
   robots_.reserve(placements.size());
@@ -75,8 +61,8 @@ Configuration SsyncSimulator::snapshot() const {
 
 RoundRecord SsyncSimulator::step() {
   const Configuration gamma = snapshot();
-  activation_->activate(now_, gamma, activated_);
-  PEF_CHECK(activated_.size() == robots_.size());
+  fill_activation(activation_, now_, static_cast<std::uint32_t>(robots_.size()),
+                  activated_set_, activated_);
   const EdgeSet edges = adversary_->choose_edges(now_, gamma, activated_);
 
   RoundRecord record;

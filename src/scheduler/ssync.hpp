@@ -9,16 +9,29 @@
 // not activated).  This module reproduces that argument executably
 // (bench_ssync_impossibility).
 //
-// Model: at each round a fair activation policy selects a subset of robots;
+// Model: at each round a fair activation rule selects a subset of robots;
 // selected robots perform an atomic Look-Compute-Move against the round's
 // edge set; the others do nothing (and keep their state).
 //
+// The rule is a value, not a policy object: an ActivationRule (full,
+// round-robin or Bernoulli-p over a seeded stream) and one inline
+// fill_activation that turns it into round t's robot set.  The ASYNC model
+// (scheduler/async.hpp) picks which robots advance a phase with the same
+// rule, and every engine — SsyncSimulator and AsyncSimulator below, the
+// unified Engine (src/engine/engine.hpp) and every BatchEngine lane — calls
+// the same fill, so they all draw one Bernoulli stream in one order.
+// tests/activation_test.cpp pins each rule to masks written out by hand.
+//
 // Two engines run this model: SsyncSimulator below (the canonical
-// reference) and the unified Engine (src/engine/engine.hpp) with
-// ExecutionModel::kSsync (the throughput path; differentially tested
-// against SsyncSimulator round-by-round).
+// reference) and the unified Engine with ExecutionModel::kSsync (the
+// throughput path; differentially tested against SsyncSimulator
+// round-by-round).
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -37,85 +50,127 @@ namespace pef {
 /// it in place every round, and byte loads keep the hot loop branch-free.
 using ActivationMask = std::vector<std::uint8_t>;
 
-/// How a policy's selection can be reproduced by a batched engine without
-/// calling the virtual activate()/advance() per replica per round.  The
-/// common policies are pure functions of (t, robot count) or of a private
-/// RNG stream, so BatchEngine regenerates their masks with enum-dispatched
-/// kernels over all replicas at once (bit-identical: same draw order, same
-/// forced-nonempty fallback).  kVirtual keeps the virtual path — exotic
-/// policies stay correct, just off the fast plane.
-enum class ActivationBatchKind : std::uint8_t {
-  kVirtual = 0,   // no batched equivalent; call the virtual method per lane
-  kFull,          // every robot, every round
-  kRoundRobin,    // robot t mod k
-  kBernoulli,     // iid per-robot draws from a seeded stream (see p()/rng())
+/// The fair activation rules.  SSYNC activates the selected robots' atomic
+/// Look-Compute-Move; ASYNC advances each selected robot one phase.
+enum class ActivationKind : std::uint8_t {
+  kFull,        // every robot, every round (SSYNC = FSYNC; ASYNC lockstep)
+  kRoundRobin,  // robot t mod k alone
+  kBernoulli,   // each robot w.p. p from a seeded stream, forced non-empty
 };
 
-/// Chooses which robots are activated each round.  Must be fair (every robot
-/// activated infinitely often) to be a legal SSYNC scheduler.
-class ActivationPolicy {
- public:
-  virtual ~ActivationPolicy() = default;
-  /// Fill `mask` with this round's activation set (resizing it to
-  /// gamma.robot_count()); at least one robot must be selected.  In-place so
-  /// callers reuse one buffer across rounds — no per-round allocation.
-  virtual void activate(Time t, const Configuration& gamma,
-                        ActivationMask& mask) = 0;
-  /// Which batched kernel reproduces this policy (kVirtual = none).
-  [[nodiscard]] virtual ActivationBatchKind batch_kind() const {
-    return ActivationBatchKind::kVirtual;
+/// One activation rule: its kind and, for kBernoulli, the probability and
+/// the stream the trials draw from.  A plain value: Engine, the reference
+/// simulators and every BatchEngine lane each hold one and run it through
+/// fill_activation, the only place a rule is written.
+struct ActivationRule {
+  ActivationKind kind = ActivationKind::kFull;
+  double p = 1.0;
+  Xoshiro256 rng{0};
+
+  [[nodiscard]] static ActivationRule full() { return {}; }
+  [[nodiscard]] static ActivationRule round_robin() {
+    return {ActivationKind::kRoundRobin};
   }
-  [[nodiscard]] virtual std::string name() const = 0;
+  [[nodiscard]] static ActivationRule bernoulli(double p, std::uint64_t seed) {
+    return {ActivationKind::kBernoulli, p, Xoshiro256(seed)};
+  }
 };
 
-/// One robot per round, cyclically (fair).
-class RoundRobinActivation final : public ActivationPolicy {
- public:
-  void activate(Time t, const Configuration& gamma,
-                ActivationMask& mask) override {
-    mask.assign(gamma.robot_count(), 0);
-    mask[static_cast<std::size_t>(t % gamma.robot_count())] = 1;
-  }
-  [[nodiscard]] ActivationBatchKind batch_kind() const override {
-    return ActivationBatchKind::kRoundRobin;
-  }
-  [[nodiscard]] std::string name() const override { return "round-robin"; }
-};
+/// Words of a robot bitset over k robots: bit i % 64 of word i / 64 is
+/// robot i.
+[[nodiscard]] constexpr std::uint32_t robot_words(std::uint32_t k) {
+  return (k + 63) / 64;
+}
 
-/// Everyone every round (degenerates to FSYNC; used to cross-check the two
-/// engines against each other in tests).
-class FullActivation final : public ActivationPolicy {
- public:
-  void activate(Time, const Configuration& gamma,
-                ActivationMask& mask) override {
-    mask.assign(gamma.robot_count(), 1);
+/// The Bernoulli rule's draw order, for N independent streams at once:
+/// stream j draws k trials in robot order (robot i acts iff its trial
+/// succeeds) and then, if none succeeded, one next_below(k) pick that acts
+/// alone.  out[j] receives stream j's robot bitset.  The N streams advance
+/// trial by trial side by side — BatchEngine overlaps four lanes' serial
+/// xoshiro chains this way — which leaves each stream's own draw order the
+/// same for every N.  The caller passes local copies of the streams, so
+/// no store into `out` can alias a generator.
+template <std::size_t N>
+inline void bernoulli_activation(Xoshiro256 (&rng)[N], const double (&p)[N],
+                                 std::uint32_t k,
+                                 std::uint64_t* const (&out)[N]) {
+  bool any[N] = {};
+  for (std::uint32_t w = 0; w < robot_words(k); ++w) {
+    const std::uint32_t trials = std::min<std::uint32_t>(k - 64 * w, 64);
+    std::uint64_t bits[N] = {};
+    for (std::uint32_t i = 0; i < trials; ++i) {
+      for (std::size_t j = 0; j < N; ++j) {
+        bits[j] |= std::uint64_t{rng[j].next_bool(p[j])} << i;
+      }
+    }
+    for (std::size_t j = 0; j < N; ++j) {
+      out[j][w] = bits[j];
+      any[j] = any[j] || bits[j] != 0;
+    }
   }
-  [[nodiscard]] ActivationBatchKind batch_kind() const override {
-    return ActivationBatchKind::kFull;
+  for (std::size_t j = 0; j < N; ++j) {
+    if (!any[j]) {
+      const std::uint64_t i = rng[j].next_below(k);
+      out[j][i / 64] |= 1ULL << (i % 64);
+    }
   }
-  [[nodiscard]] std::string name() const override { return "full"; }
-};
+}
 
-/// Random fair subset (each robot independently with probability p, forced
-/// non-empty).
-class BernoulliActivation final : public ActivationPolicy {
- public:
-  BernoulliActivation(double p, std::uint64_t seed) : p_(p), rng_(seed) {}
-  void activate(Time, const Configuration& gamma,
-                ActivationMask& mask) override;
-  [[nodiscard]] ActivationBatchKind batch_kind() const override {
-    return ActivationBatchKind::kBernoulli;
+/// Round t's activation set over k robots under `rule`, as a robot bitset
+/// of robot_words(k) words in `out`.  Only kBernoulli reads or advances
+/// the rule's state.
+inline void fill_activation(ActivationRule& rule, Time t, std::uint32_t k,
+                            std::uint64_t* out) {
+  const std::uint32_t words = robot_words(k);
+  switch (rule.kind) {
+    case ActivationKind::kFull:
+      std::fill_n(out, words, ~0ULL);
+      if (k % 64 != 0) out[words - 1] = (1ULL << (k % 64)) - 1;
+      return;
+    case ActivationKind::kRoundRobin: {
+      std::fill_n(out, words, 0);
+      const Time i = t % k;
+      out[i / 64] = 1ULL << (i % 64);
+      return;
+    }
+    case ActivationKind::kBernoulli: {
+      Xoshiro256 rng[1] = {rule.rng};
+      const double p[1] = {rule.p};
+      std::uint64_t* const sets[1] = {out};
+      bernoulli_activation(rng, p, k, sets);
+      rule.rng = rng[0];
+      return;
+    }
   }
-  /// The batched kernel's inputs: BatchEngine seeds its per-replica RNG
-  /// plane from a copy of rng() (taken before any activate() call), so the
-  /// batched draws replay this policy's stream bit-for-bit.
-  [[nodiscard]] double p() const { return p_; }
-  [[nodiscard]] const Xoshiro256& rng() const { return rng_; }
-  [[nodiscard]] std::string name() const override { return "bernoulli"; }
+}
 
- private:
-  double p_;
-  Xoshiro256 rng_;
+/// fill_activation as a byte mask (Engine, the reference simulators and
+/// SsyncAdversary speak ActivationMask); `set` is the caller's reusable
+/// bitset scratch.  The bits expand eight at a time: the multiply copies a
+/// byte of the set into all eight byte lanes, the AND keeps bit j in lane
+/// j, and the add carries any kept bit into the lane's top bit.
+inline void fill_activation(ActivationRule& rule, Time t, std::uint32_t k,
+                            std::vector<std::uint64_t>& set,
+                            ActivationMask& mask) {
+  set.resize(robot_words(k));
+  fill_activation(rule, t, k, set.data());
+  mask.resize(k);
+  static_assert(std::endian::native == std::endian::little);
+  constexpr std::uint64_t kLanes = 0x0101010101010101ULL;
+  for (std::uint32_t i = 0; i < k; i += 8) {
+    const std::uint64_t byte = (set[i / 64] >> (i % 64)) & 0xff;
+    const std::uint64_t bytes =
+        ((((byte * kLanes) & 0x8040201008040201ULL) + 0x7f * kLanes) >> 7) &
+        kLanes;
+    std::memcpy(mask.data() + i, &bytes, std::min<std::uint32_t>(k - i, 8));
+  }
+}
+
+/// The SSYNC Engine constructor's activation argument: an ActivationRule
+/// under the type name that picks that constructor (PhaseScheduler, in
+/// scheduler/async.hpp, picks the ASYNC one).
+struct ActivationPolicy {
+  ActivationRule rule;
 };
 
 /// The standard seeded activation policy used by every entry point that
@@ -123,9 +178,9 @@ class BernoulliActivation final : public ActivationPolicy {
 /// run_experiment, pef_run): Bernoulli(p) over a stream derived from `seed`
 /// with one shared salt, so fast and reference runs of the same
 /// (model, seed) see identical activation streams.
-[[nodiscard]] inline std::unique_ptr<ActivationPolicy>
-standard_ssync_activation(double p, std::uint64_t seed) {
-  return std::make_unique<BernoulliActivation>(p, derive_seed(seed, 0x55ac));
+[[nodiscard]] inline ActivationPolicy standard_ssync_activation(
+    double p, std::uint64_t seed) {
+  return {ActivationRule::bernoulli(p, derive_seed(seed, 0x55ac))};
 }
 
 /// The SSYNC adversary: sees the configuration *and* the activation mask.
@@ -174,34 +229,6 @@ class SsyncBlockingAdversary final : public SsyncAdversary {
   Ring ring_;
 };
 
-/// An SsyncAdversary that ignores activation (wraps an oblivious schedule).
-class SsyncObliviousAdversary final : public SsyncAdversary {
- public:
-  explicit SsyncObliviousAdversary(SchedulePtr schedule)
-      : schedule_(std::move(schedule)) {}
-  [[nodiscard]] const Ring& ring() const override {
-    return schedule_->ring();
-  }
-  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration&,
-                                     const ActivationMask&) override {
-    return schedule_->edges_at(t);
-  }
-  void choose_edges_into(Time t, const Configuration&, const ActivationMask&,
-                         EdgeSet& out) override {
-    schedule_->edges_into(t, out);
-  }
-  [[nodiscard]] const EdgeSchedule* oblivious_schedule() const override {
-    return schedule_.get();
-  }
-  [[nodiscard]] std::string name() const override {
-    return schedule_->name();
-  }
-  [[nodiscard]] const SchedulePtr& schedule() const { return schedule_; }
-
- private:
-  SchedulePtr schedule_;
-};
-
 /// Adapts any FSYNC Adversary — oblivious or adaptive — to the SSYNC/ASYNC
 /// interface by ignoring the activation mask.  This is how the sweep grid
 /// and pef_run reuse the standard adversary battery across every execution
@@ -247,7 +274,7 @@ class SsyncSimulator {
  public:
   SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
                  std::unique_ptr<SsyncAdversary> adversary,
-                 std::unique_ptr<ActivationPolicy> activation,
+                 ActivationRule activation,
                  const std::vector<RobotPlacement>& placements);
 
   RoundRecord step();
@@ -261,9 +288,10 @@ class SsyncSimulator {
   Ring ring_;
   AlgorithmPtr algorithm_;
   std::unique_ptr<SsyncAdversary> adversary_;
-  std::unique_ptr<ActivationPolicy> activation_;
+  ActivationRule activation_;
   std::vector<Robot> robots_;
-  ActivationMask activated_;  // reused across rounds
+  std::vector<std::uint64_t> activated_set_;  // reused across rounds
+  ActivationMask activated_;                  // reused across rounds
   Time now_ = 0;
   std::unique_ptr<Trace> trace_;
 };

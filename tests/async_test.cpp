@@ -24,8 +24,9 @@ TEST(AsyncTest, LockstepOverStaticGraphIsFsyncAtThirdSpeed) {
   Simulator fsync(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                   placements);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<LockstepPhases>(), placements);
+                       std::make_unique<SsyncFromFsyncAdversary>(
+                           make_oblivious(schedule)),
+                       ActivationRule::full(), placements);
   fsync.run(60);
   async.run(180);
   for (Time t = 0; t <= 60; ++t) {
@@ -41,8 +42,9 @@ TEST(AsyncTest, PhasesCycleLookComputeMove) {
   const Ring ring(4);
   auto schedule = std::make_shared<StaticSchedule>(ring);
   AsyncSimulator async(ring, make_algorithm("keep-direction"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<LockstepPhases>(),
+                       std::make_unique<SsyncFromFsyncAdversary>(
+                           make_oblivious(schedule)),
+                       ActivationRule::full(),
                        {{0, Chirality(true)}});
   EXPECT_EQ(async.phase_of(0), Phase::kLook);
   async.step();
@@ -71,8 +73,9 @@ TEST(AsyncTest, StaleViewMakesRobotChaseVanishedEdge) {
   auto schedule = std::make_shared<RecordedSchedule>(ring, rounds,
                                                      TailRule::kRepeatLast);
   AsyncSimulator async(ring, make_algorithm("bounce"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<LockstepPhases>(),
+                       std::make_unique<SsyncFromFsyncAdversary>(
+                           make_oblivious(schedule)),
+                       ActivationRule::full(),
                        {{2, Chirality(true)}});
   // Look at t=0 sees edge 1 present -> bounce keeps pointing at it.
   // Move at t=2 finds it gone: no movement, although behind was open.
@@ -88,7 +91,7 @@ TEST(AsyncTest, MoveBlockerFreezesEveryAlgorithm) {
     const Ring ring(6);
     AsyncSimulator async(ring, make_algorithm(name, 7),
                          std::make_unique<AsyncMoveBlocker>(ring),
-                         std::make_unique<RoundRobinPhases>(),
+                         ActivationRule::round_robin(),
                          spread_placements(ring, 3));
     async.run(900);
     for (RobotId r = 0; r < 3; ++r) {
@@ -105,7 +108,7 @@ TEST(AsyncTest, MoveBlockerKeepsEdgesRecurrent) {
   const Ring ring(6);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
                        std::make_unique<AsyncMoveBlocker>(ring),
-                       std::make_unique<RoundRobinPhases>(),
+                       ActivationRule::round_robin(),
                        spread_placements(ring, 3));
   async.run(900);
   const auto audit =
@@ -121,8 +124,9 @@ TEST(AsyncTest, BenignAsyncStillExplores) {
   const Ring ring(6);
   auto schedule = std::make_shared<StaticSchedule>(ring);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<BernoulliPhases>(0.6, 9),
+                       std::make_unique<SsyncFromFsyncAdversary>(
+                           make_oblivious(schedule)),
+                       ActivationRule::bernoulli(0.6, 9),
                        spread_placements(ring, 3));
   async.run(4000);
   EXPECT_EQ(analyze_coverage(async.trace()).visited_node_count, 6u);

@@ -79,33 +79,35 @@ void expect_same_coverage(const CoverageReport& actual,
 /// at retirement its coverage too.  A second batch of the same replicas
 /// then runs through run_all() and must land on the same final stats and
 /// coverage.  `make_replica` and `make_engine` must construct the same
-/// scenario from the same seed (fresh objects each call).
+/// scenario from the same seed (fresh objects each call).  The ring has
+/// `nodes` nodes and the batch `batch` replicas.
 void run_differential(
     const std::string& label,
     const std::function<BatchReplica(std::uint32_t replica)>& make_replica,
     const std::function<Engine(std::uint32_t replica)>& make_engine,
-    ExecutionModel model) {
+    ExecutionModel model, std::uint32_t nodes = kNodes,
+    std::uint32_t batch = kBatch) {
   SCOPED_TRACE(label);
-  const Ring ring(kNodes);
+  const Ring ring(nodes);
   const auto make_batch = [&] {
     std::vector<BatchReplica> replicas;
-    replicas.reserve(kBatch);
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
+    replicas.reserve(batch);
+    for (std::uint32_t b = 0; b < batch; ++b) {
       replicas.push_back(make_replica(b));
     }
     return BatchEngine(ring, model, std::move(replicas));
   };
 
   std::vector<Engine> solo;
-  solo.reserve(kBatch);
-  for (std::uint32_t b = 0; b < kBatch; ++b) solo.push_back(make_engine(b));
+  solo.reserve(batch);
+  for (std::uint32_t b = 0; b < batch; ++b) solo.push_back(make_engine(b));
 
   BatchEngine stepped = make_batch();
-  ASSERT_EQ(stepped.active_replicas(), kBatch);
+  ASSERT_EQ(stepped.active_replicas(), batch);
   while (stepped.active_replicas() > 0) {
     stepped.step();
     std::uint32_t live = 0;
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
+    for (std::uint32_t b = 0; b < batch; ++b) {
       Engine& twin = solo[b];
       if (twin.now() == horizon_of(b)) continue;  // retired earlier
       SCOPED_TRACE("replica " + std::to_string(b));
@@ -127,7 +129,7 @@ void run_differential(
   BatchEngine tiled = make_batch();
   tiled.run_all();
   ASSERT_EQ(tiled.active_replicas(), 0u);
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
+  for (std::uint32_t b = 0; b < batch; ++b) {
     SCOPED_TRACE("run_all replica " + std::to_string(b));
     expect_same_stats(tiled.stats(b), solo[b].stats());
     expect_same_coverage(tiled.coverage_report(b), solo[b].coverage_report());
@@ -202,8 +204,7 @@ struct SsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<ActivationPolicy>(std::uint64_t)>
-      make_activation;
+  std::function<ActivationRule(std::uint64_t)> make_activation;
 };
 
 std::vector<SsyncScenario> ssync_scenarios() {
@@ -212,15 +213,14 @@ std::vector<SsyncScenario> ssync_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<SsyncBlockingAdversary>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinActivation>(); }},
+       [](std::uint64_t) { return ActivationRule::round_robin(); }},
       {"bernoulli-schedule+bernoulli-activation",
        [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
+         return std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+             std::make_shared<BernoulliSchedule>(ring, 0.6, seed)));
        },
        [](std::uint64_t seed) {
-         return std::make_unique<BernoulliActivation>(0.6,
-                                                      derive_seed(seed, 0xac));
+         return ActivationRule::bernoulli(0.6, derive_seed(seed, 0xac));
        }},
       {"adaptive-greedy+full",
        [](const Ring& ring, std::uint64_t) {
@@ -228,7 +228,7 @@ std::vector<SsyncScenario> ssync_scenarios() {
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<FullActivation>(); }},
+       [](std::uint64_t) { return ActivationRule::full(); }},
   };
 }
 
@@ -252,7 +252,7 @@ TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             const std::uint64_t seed = b + 1;
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
-                          scenario.make_activation(seed),
+                          ActivationPolicy{scenario.make_activation(seed)},
                           random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kSsync);
@@ -267,7 +267,7 @@ struct AsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<PhaseScheduler>(std::uint64_t)> make_phases;
+  std::function<ActivationRule(std::uint64_t)> make_phases;
 };
 
 std::vector<AsyncScenario> async_scenarios() {
@@ -276,15 +276,14 @@ std::vector<AsyncScenario> async_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<AsyncMoveBlocker>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinPhases>(); }},
+       [](std::uint64_t) { return ActivationRule::round_robin(); }},
       {"bernoulli-schedule+bernoulli-phases",
        [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
+         return std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+             std::make_shared<BernoulliSchedule>(ring, 0.6, seed)));
        },
        [](std::uint64_t seed) {
-         return std::make_unique<BernoulliPhases>(0.6,
-                                                  derive_seed(seed, 0xa5));
+         return ActivationRule::bernoulli(0.6, derive_seed(seed, 0xa5));
        }},
       {"adaptive-greedy+lockstep",
        [](const Ring& ring, std::uint64_t) {
@@ -292,7 +291,7 @@ std::vector<AsyncScenario> async_scenarios() {
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<LockstepPhases>(); }},
+       [](std::uint64_t) { return ActivationRule::full(); }},
   };
 }
 
@@ -307,7 +306,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             BatchReplica replica;
             replica.algorithm = make_algorithm(algorithm, seed);
             replica.ssync_adversary = scenario.make_adversary(ring, seed);
-            replica.phases = scenario.make_phases(seed);
+            replica.activation = scenario.make_phases(seed);
             replica.placements = random_placements(ring, kRobots, seed);
             replica.horizon = horizon_of(b);
             return replica;
@@ -316,7 +315,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             const std::uint64_t seed = b + 1;
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
-                          scenario.make_phases(seed),
+                          PhaseScheduler{scenario.make_phases(seed)},
                           random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kAsync);
@@ -406,6 +405,53 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
                             random_placements(ring, kRobots, seed));
             },
             mc.model);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// More than 64 robots under SSYNC and ASYNC: a lane's activation set no
+// longer fits one 64-bit word, so the batched Bernoulli fill takes its
+// multi-word path, and the wide robot count selects the stamped
+// multiplicity recompute.  Eight Bernoulli(0.5) lanes (two groups of four)
+// on n = 160 against solo Engines, round by round, over a schedule-filled
+// (mirror-free) and an adaptive (mirrored) adversary.
+
+TEST(BatchEngineModelMatrixTest, MoreThan64RobotsMatchSoloEngines) {
+  constexpr std::uint32_t kWideNodes = 160;
+  constexpr std::uint32_t kWideBatch = 8;
+  const Ring ring(kWideNodes);
+  const std::vector<AdversaryConfig> adversaries = {
+      adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}}),
+      adversary_config(AdversaryKind::kGreedyBlocker)};
+  for (const std::uint32_t robots : {65u, 96u}) {
+    for (const ExecutionModel model :
+         {ExecutionModel::kSsync, ExecutionModel::kAsync}) {
+      for (const AdversaryConfig& config : adversaries) {
+        run_differential(
+            std::to_string(robots) + " robots vs " +
+                adversary_display_name(config) + " under " + to_string(model),
+            [&](std::uint32_t b) {
+              const std::uint64_t seed = b + 1;
+              BatchReplica replica;
+              replica.algorithm = make_algorithm("pef3+", seed);
+              replica.placements = random_placements(ring, robots, seed);
+              replica.horizon = horizon_of(b);
+              wire_standard_replica(
+                  replica, model,
+                  adversary_from_config(config, ring, seed, robots), 0.5,
+                  seed);
+              return replica;
+            },
+            [&](std::uint32_t b) {
+              const std::uint64_t seed = b + 1;
+              return make_standard_engine(
+                  ring, model, make_algorithm("pef3+", seed),
+                  adversary_from_config(config, ring, seed, robots), 0.5,
+                  seed, random_placements(ring, robots, seed));
+            },
+            model, kWideNodes, kWideBatch);
       }
     }
   }

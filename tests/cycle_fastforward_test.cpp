@@ -253,15 +253,16 @@ Engine make_round_robin_engine(ExecutionModel model, const Ring& ring,
                                std::uint64_t seed,
                                const std::vector<RobotPlacement>& placements,
                                const EngineOptions& options) {
-  auto adversary = std::make_unique<SsyncObliviousAdversary>(
-      make_schedule(ring, Topo::kRing, true));
+  auto adversary = std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+      make_schedule(ring, Topo::kRing, true)));
   if (model == ExecutionModel::kSsync) {
     return Engine(ring, make_algorithm("pef3+", seed), std::move(adversary),
-                  std::make_unique<RoundRobinActivation>(), placements,
+                  ActivationPolicy{ActivationRule::round_robin()}, placements,
                   options);
   }
   return Engine(ring, make_algorithm("pef3+", seed), std::move(adversary),
-                std::make_unique<RoundRobinPhases>(), placements, options);
+                PhaseScheduler{ActivationRule::round_robin()}, placements,
+                options);
 }
 
 TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
@@ -272,14 +273,14 @@ TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
     EngineOptions options;
     options.fast_forward = true;
     Engine ff(ring, make_algorithm("pef3+", 7),
-              std::make_unique<SsyncObliviousAdversary>(
-                  make_schedule(ring, Topo::kRing, true)),
-              std::make_unique<RoundRobinActivation>(),
+              std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+                  make_schedule(ring, Topo::kRing, true))),
+              ActivationPolicy{ActivationRule::round_robin()},
               spread_placements(ring, 3), options);
     Engine plain(ring, make_algorithm("pef3+", 7),
-                 std::make_unique<SsyncObliviousAdversary>(
-                     make_schedule(ring, Topo::kRing, true)),
-                 std::make_unique<RoundRobinActivation>(),
+                 std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+                     make_schedule(ring, Topo::kRing, true))),
+                 ActivationPolicy{ActivationRule::round_robin()},
                  spread_placements(ring, 3), EngineOptions{});
     ff.run(horizon);
     plain.run(horizon);
@@ -320,9 +321,9 @@ TEST(CycleFastForwardTest, AsyncPhaseMachinesAreComparedState) {
     EngineOptions options;
     options.fast_forward = fast_forward;
     return Engine(ring, make_algorithm("keep-direction", 7),
-                  std::make_unique<SsyncObliviousAdversary>(
-                      std::make_shared<StaticSchedule>(ring)),
-                  std::make_unique<RoundRobinPhases>(),
+                  std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+                      std::make_shared<StaticSchedule>(ring))),
+                  PhaseScheduler{ActivationRule::round_robin()},
                   spread_placements(ring, 1), options);
   };
   Engine ff = build(true);
@@ -430,13 +431,10 @@ TEST(CycleFastForwardBatchTest, RoundRobinSsyncAndAsyncLanes) {
     for (std::uint32_t b = 0; b < kBatch; ++b) {
       BatchReplica& replica = replicas[b];
       replica.algorithm = make_algorithm("pef3+", b + 1);
-      replica.ssync_adversary = std::make_unique<SsyncObliviousAdversary>(
-          make_schedule(ring, Topo::kRing, true));
-      if (model == ExecutionModel::kSsync) {
-        replica.activation = std::make_unique<RoundRobinActivation>();
-      } else {
-        replica.phases = std::make_unique<RoundRobinPhases>();
-      }
+      replica.ssync_adversary =
+          std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+              make_schedule(ring, Topo::kRing, true)));
+      replica.activation = ActivationRule::round_robin();
       replica.placements = random_placements(ring, 3, b + 1);
       replica.horizon = horizon_of(b);
     }
@@ -468,9 +466,9 @@ TEST(CycleFastForwardBatchTest, AsyncLanesComparePhasePlanes) {
   for (std::uint32_t b = 0; b < kBatch; ++b) {
     BatchReplica& replica = replicas[b];
     replica.algorithm = make_algorithm("keep-direction", b + 1);
-    replica.ssync_adversary = std::make_unique<SsyncObliviousAdversary>(
-        std::make_shared<StaticSchedule>(ring));
-    replica.phases = std::make_unique<RoundRobinPhases>();
+    replica.ssync_adversary = std::make_unique<SsyncFromFsyncAdversary>(
+        make_oblivious(std::make_shared<StaticSchedule>(ring)));
+    replica.activation = ActivationRule::round_robin();
     replica.placements = random_placements(ring, 1, b + 1);
     replica.horizon = kHorizon;
   }
@@ -482,9 +480,9 @@ TEST(CycleFastForwardBatchTest, AsyncLanesComparePhasePlanes) {
   for (std::uint32_t b = 0; b < kBatch; ++b) {
     SCOPED_TRACE("replica " + std::to_string(b));
     Engine solo(ring, make_algorithm("keep-direction", b + 1),
-                std::make_unique<SsyncObliviousAdversary>(
-                    std::make_shared<StaticSchedule>(ring)),
-                std::make_unique<RoundRobinPhases>(),
+                std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+                    std::make_shared<StaticSchedule>(ring))),
+                PhaseScheduler{ActivationRule::round_robin()},
                 random_placements(ring, 1, b + 1), EngineOptions{});
     solo.run(kHorizon);
     EXPECT_TRUE(batch.fast_forwarded(b));

@@ -89,7 +89,10 @@ void check_stateless(const char* name, const StatelessRow (&table)[8]) {
 /// Runs `name`'s kernel on every row, from both incoming directions, and
 /// checks the turn and the new HasMovedPreviousStep (the rest of the
 /// memory must stay as initialized).  The table must list each of the 16
-/// (view, HasMovedPreviousStep) inputs exactly once.
+/// (view, HasMovedPreviousStep) inputs exactly once.  The rows with both
+/// edges present also pin the byte form BatchEngine's all-edges-present
+/// FSYNC pass runs (both_edges_turn<Id>, both_edges_has_moved).
+template <KernelId Id>
 void check_pef3_family(const char* name, const Pef3Row (&table)[16]) {
   std::bitset<16> seen;
   for (const Pef3Row& row : table) {
@@ -101,7 +104,17 @@ void check_pef3_family(const char* name, const Pef3Row (&table)[16]) {
   ASSERT_TRUE(seen.all()) << name << ": table misses an input";
 
   const KernelSpec spec = make_algorithm(name)->kernel();
+  ASSERT_EQ(spec.id, Id) << name;
   for (const Pef3Row& row : table) {
+    if (row.ahead && row.behind) {
+      const std::string label = std::string(name) + " both edges, others=" +
+                                std::to_string(row.others) +
+                                " moved=" + std::to_string(row.moved);
+      EXPECT_EQ(both_edges_turn<Id>(row.moved ? 1 : 0, row.others ? 1 : 0),
+                row.turn ? 1 : 0)
+          << label;
+      EXPECT_EQ(both_edges_has_moved, row.moved_after ? 1 : 0) << label;
+    }
     for (const LocalDirection dir_in :
          {LocalDirection::kLeft, LocalDirection::kRight}) {
       KernelState state;
@@ -218,7 +231,7 @@ TEST(KernelTruthTable, Pef3Plus) {
       {true, true, true, false, false, true},
       {true, true, true, true, true, true},
   };
-  check_pef3_family("pef3+", table);
+  check_pef3_family<KernelId::kPef3Plus>("pef3+", table);
 }
 
 // pef3+-no-rule2: Algorithm 1 without the HasMovedPreviousStep guard on
@@ -244,7 +257,7 @@ TEST(KernelTruthTable, Pef3PlusNoRule2) {
       {true, true, true, false, true, true},
       {true, true, true, true, true, true},
   };
-  check_pef3_family("pef3+-no-rule2", table);
+  check_pef3_family<KernelId::kPef3PlusNoRule2>("pef3+-no-rule2", table);
 }
 
 // pef3+-no-rule3: Algorithm 1 without lines 1-3 — never turn; line 4 then
@@ -269,7 +282,7 @@ TEST(KernelTruthTable, Pef3PlusNoRule3) {
       {true, true, true, false, false, true},
       {true, true, true, true, false, true},
   };
-  check_pef3_family("pef3+-no-rule3", table);
+  check_pef3_family<KernelId::kPef3PlusNoRule3>("pef3+-no-rule3", table);
 }
 
 // oscillating (registry period 4): "turn back every `period` rounds

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/properties.hpp"
@@ -24,8 +22,9 @@ TEST(SsyncTest, FullActivationMatchesFsyncEngine) {
   Simulator fsync(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                   placements);
   SsyncSimulator ssync(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<FullActivation>(), placements);
+                       std::make_unique<SsyncFromFsyncAdversary>(
+                           make_oblivious(schedule)),
+                       ActivationRule::full(), placements);
   fsync.run(300);
   ssync.run(300);
   for (RobotId r = 0; r < 3; ++r) {
@@ -45,7 +44,7 @@ TEST(SsyncTest, BlockerFreezesEveryAlgorithm) {
     const Ring ring(6);
     SsyncSimulator sim(ring, make_algorithm(name, 3),
                        std::make_unique<SsyncBlockingAdversary>(ring),
-                       std::make_unique<RoundRobinActivation>(),
+                       ActivationRule::round_robin(),
                        spread_placements(ring, 3));
     sim.run(600);
     for (RobotId r = 0; r < 3; ++r) {
@@ -64,53 +63,13 @@ TEST(SsyncTest, BlockerKeepsEveryEdgeRecurrent) {
   const Ring ring(6);
   SsyncSimulator sim(ring, make_algorithm("pef3+"),
                      std::make_unique<SsyncBlockingAdversary>(ring),
-                     std::make_unique<RoundRobinActivation>(),
+                     ActivationRule::round_robin(),
                      spread_placements(ring, 3));
   sim.run(600);
   const auto audit =
       audit_connectivity(ring, sim.trace().edge_history(), /*patience=*/150);
   EXPECT_TRUE(audit.connected_over_time);
   EXPECT_TRUE(audit.suspected_missing.empty());
-}
-
-TEST(SsyncTest, RoundRobinIsFair) {
-  const Ring ring(5);
-  RoundRobinActivation activation;
-  std::vector<RobotSnapshot> snaps(3);
-  snaps[0].node = 0;
-  snaps[1].node = 1;
-  snaps[2].node = 2;
-  const Configuration gamma(ring, snaps);
-  std::vector<int> counts(3, 0);
-  ActivationMask mask;
-  for (Time t = 0; t < 30; ++t) {
-    activation.activate(t, gamma, mask);
-    int active = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i]) {
-        ++active;
-        ++counts[i];
-      }
-    }
-    EXPECT_EQ(active, 1);
-  }
-  for (int c : counts) EXPECT_EQ(c, 10);
-}
-
-TEST(SsyncTest, BernoulliActivationNeverEmpty) {
-  const Ring ring(5);
-  BernoulliActivation activation(0.01, 5);
-  std::vector<RobotSnapshot> snaps(4);
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    snaps[i].node = static_cast<NodeId>(i);
-  }
-  const Configuration gamma(ring, snaps);
-  ActivationMask mask;
-  for (Time t = 0; t < 200; ++t) {
-    activation.activate(t, gamma, mask);
-    EXPECT_TRUE(std::any_of(mask.begin(), mask.end(),
-                            [](std::uint8_t b) { return b != 0; }));
-  }
 }
 
 TEST(SsyncTest, PefThreePlusSurvivesFairSsyncWithoutEdgeAdversary) {
@@ -120,8 +79,9 @@ TEST(SsyncTest, PefThreePlusSurvivesFairSsyncWithoutEdgeAdversary) {
   const Ring ring(6);
   auto schedule = std::make_shared<StaticSchedule>(ring);
   SsyncSimulator sim(ring, make_algorithm("pef3+"),
-                     std::make_unique<SsyncObliviousAdversary>(schedule),
-                     std::make_unique<BernoulliActivation>(0.7, 11),
+                     std::make_unique<SsyncFromFsyncAdversary>(
+                         make_oblivious(schedule)),
+                     ActivationRule::bernoulli(0.7, 11),
                      spread_placements(ring, 3));
   sim.run(2000);
   EXPECT_EQ(analyze_coverage(sim.trace()).visited_node_count, 6u);

@@ -134,8 +134,7 @@ struct SsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<ActivationPolicy>(std::uint64_t)>
-      make_activation;
+  std::function<ActivationRule(std::uint64_t)> make_activation;
 };
 
 std::vector<SsyncScenario> ssync_scenarios() {
@@ -144,15 +143,14 @@ std::vector<SsyncScenario> ssync_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<SsyncBlockingAdversary>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinActivation>(); }},
+       [](std::uint64_t) { return ActivationRule::round_robin(); }},
       {"bernoulli-schedule+bernoulli-activation",
        [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
+         return std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+             std::make_shared<BernoulliSchedule>(ring, 0.6, seed)));
        },
        [](std::uint64_t seed) {
-         return std::make_unique<BernoulliActivation>(0.6,
-                                                      derive_seed(seed, 0xac));
+         return ActivationRule::bernoulli(0.6, derive_seed(seed, 0xac));
        }},
       {"adaptive-greedy+full",
        [](const Ring& ring, std::uint64_t) {
@@ -160,7 +158,7 @@ std::vector<SsyncScenario> ssync_scenarios() {
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<FullActivation>(); }},
+       [](std::uint64_t) { return ActivationRule::full(); }},
   };
 }
 
@@ -181,7 +179,8 @@ TEST(UnifiedSsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
         options.record_trace = true;
         Engine engine(ring, make_algorithm(algorithm, seed),
                       scenario.make_adversary(ring, seed),
-                      scenario.make_activation(seed), placements, options);
+                      ActivationPolicy{scenario.make_activation(seed)},
+                      placements, options);
         EXPECT_EQ(engine.model(), ExecutionModel::kSsync);
         engine.run(kRounds);
         for (Time t = 0; t < kRounds; ++t) reference.step();
@@ -202,7 +201,7 @@ struct AsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<PhaseScheduler>(std::uint64_t)> make_phases;
+  std::function<ActivationRule(std::uint64_t)> make_phases;
 };
 
 std::vector<AsyncScenario> async_scenarios() {
@@ -211,15 +210,14 @@ std::vector<AsyncScenario> async_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<AsyncMoveBlocker>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinPhases>(); }},
+       [](std::uint64_t) { return ActivationRule::round_robin(); }},
       {"bernoulli-schedule+bernoulli-phases",
        [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
+         return std::make_unique<SsyncFromFsyncAdversary>(make_oblivious(
+             std::make_shared<BernoulliSchedule>(ring, 0.6, seed)));
        },
        [](std::uint64_t seed) {
-         return std::make_unique<BernoulliPhases>(0.6,
-                                                  derive_seed(seed, 0xa5));
+         return ActivationRule::bernoulli(0.6, derive_seed(seed, 0xa5));
        }},
       {"adaptive-greedy+lockstep",
        [](const Ring& ring, std::uint64_t) {
@@ -227,7 +225,7 @@ std::vector<AsyncScenario> async_scenarios() {
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<LockstepPhases>(); }},
+       [](std::uint64_t) { return ActivationRule::full(); }},
   };
 }
 
@@ -248,7 +246,8 @@ TEST(UnifiedAsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
         options.record_trace = true;
         Engine engine(ring, make_algorithm(algorithm, seed),
                       scenario.make_adversary(ring, seed),
-                      scenario.make_phases(seed), placements, options);
+                      PhaseScheduler{scenario.make_phases(seed)}, placements,
+                      options);
         EXPECT_EQ(engine.model(), ExecutionModel::kAsync);
         engine.run(kRounds);
         for (Time t = 0; t < kRounds; ++t) reference.step();
@@ -275,7 +274,7 @@ TEST(UnifiedEngineTest, SsyncStatsAccumulateWithoutTrace) {
   const Ring ring(6);
   Engine engine(ring, make_algorithm("pef3+"),
                 std::make_unique<SsyncBlockingAdversary>(ring),
-                std::make_unique<RoundRobinActivation>(),
+                ActivationPolicy{ActivationRule::round_robin()},
                 spread_placements(ring, 3));
   EXPECT_FALSE(engine.recording_trace());
   engine.run(600);
@@ -289,7 +288,7 @@ TEST(UnifiedEngineTest, AsyncStatsAccumulateWithoutTrace) {
   const Ring ring(6);
   Engine engine(ring, make_algorithm("pef3+"),
                 std::make_unique<AsyncMoveBlocker>(ring),
-                std::make_unique<RoundRobinPhases>(),
+                PhaseScheduler{ActivationRule::round_robin()},
                 spread_placements(ring, 3));
   engine.run(900);
   EXPECT_EQ(engine.stats().total_moves, 0u);
