@@ -28,7 +28,11 @@
 //     reps) is what the cycle search costs where it cannot pay off
 //     (informational, no gate);
 //   * SweepRunner thread-scaling on a fixed grid (1 thread vs 4), with a
-//     byte-identity check of the two JSON outputs.
+//     byte-identity check of the two JSON outputs;
+//   * the edge-schedule series: edge-rounds/sec of edges_into_words for the
+//     three stochastic families (bernoulli, markov, bounded-absence) at
+//     n=256, median of 5 fresh schedules each filling rounds 0..R-1
+//     (informational, no gate).
 //
 // --smoke shrinks every macro series to CI-sized parameters; the CI
 // bench-smoke job gates on the JSON's speedup_target_met,
@@ -831,6 +835,61 @@ void sweep_scaling(BenchReport& report) {
   report.summary("sweep_json_bit_identical", identical);
 }
 
+// The edge prologue alone: how fast each stochastic family fills its rows.
+// Each rep builds a fresh schedule, so the markov and bounded-absence
+// histories are filled (not replayed) within the timed loop.
+
+void edge_schedule(BenchReport& report) {
+  const std::uint32_t kNodes = 256;
+  const Time kRounds = smoke_mode ? 20000 : 100000;
+  constexpr int kReps = 5;
+  std::cout << "\n=== Edge schedule rows (edges_into_words, n=" << kNodes
+            << ", " << kRounds << " rounds, median of " << kReps
+            << ") ===\n";
+  const Ring ring(kNodes);
+  const std::vector<AdversaryConfig> families = {
+      adversary_config(AdversaryKind::kBernoulli, {{"p", 0.7}}),
+      adversary_config(AdversaryKind::kMarkov,
+                       {{"p_fail", 0.2}, {"p_recover", 0.4}}),
+      adversary_config(AdversaryKind::kBoundedAbsence,
+                       {{"max_absence", 6}, {"max_presence", 8}}),
+  };
+  std::vector<std::uint64_t> row(edge_word_count(kNodes));
+  for (const AdversaryConfig& family : families) {
+    std::vector<double> rates;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const AdversaryPtr adversary = adversary_from_config(
+          family, ring, 1 + static_cast<std::uint64_t>(rep), 3);
+      const auto& schedule =
+          *dynamic_cast<const ObliviousAdversary&>(*adversary).schedule();
+      const auto start = std::chrono::steady_clock::now();
+      for (Time t = 0; t < kRounds; ++t) {
+        schedule.edges_into_words(t, row.data());
+        benchmark::DoNotOptimize(row.data());
+      }
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      rates.push_back(static_cast<double>(kNodes) *
+                      static_cast<double>(kRounds) / wall);
+    }
+    std::sort(rates.begin(), rates.end());
+    const double rate = rates[rates.size() / 2];
+    const std::string name = adversary_kind_info(family.kind).name;
+    std::cout << name << ": " << rate / 1e6 << " M edge-rounds/sec (IQR "
+              << rates[1] / 1e6 << "-" << rates[3] / 1e6 << ")\n";
+    report.add_cell()
+        .param("series", "edge-schedule")
+        .param("adversary", name)
+        .param("n", std::uint64_t{kNodes})
+        .param("rounds", static_cast<std::uint64_t>(kRounds))
+        .metric("edge_rounds_per_sec", rate)
+        .metric("edge_rounds_per_sec_q1", rates[1])
+        .metric("edge_rounds_per_sec_q3", rates[3]);
+    report.summary("edge_rounds_per_sec_" + name, rate);
+  }
+}
+
 }  // namespace
 }  // namespace pef
 
@@ -857,6 +916,7 @@ int main(int argc, char** argv) {
   pef::cycle_fastforward(report);
   pef::cycle_fastforward_noncycling(report);
   pef::sweep_scaling(report);
+  pef::edge_schedule(report);
   report.write();
   return 0;
 }

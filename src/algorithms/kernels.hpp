@@ -156,6 +156,16 @@ inline constexpr bool kPef3Family = Id == KernelId::kPef3Plus ||
                                     Id == KernelId::kPef3PlusNoRule2 ||
                                     Id == KernelId::kPef3PlusNoRule3;
 
+/// Kernels whose Compute does nothing on a View with both adjacent edges
+/// present — no turn, no memory write — because each of their turn
+/// conditions needs an absent edge.  BatchEngine's full-ring FSYNC pass
+/// runs no Compute at all for them; kernels_test checks the claim on every
+/// such View.
+template <KernelId Id>
+inline constexpr bool kBothEdgesNoCompute =
+    Id == KernelId::kKeepDirection || Id == KernelId::kBounce ||
+    Id == KernelId::kPef1 || Id == KernelId::kPef2;
+
 /// The PEF_3+ family's Compute on a View with both adjacent edges present,
 /// as byte arithmetic over 0/1 bytes — the form BatchEngine's full-ring
 /// FSYNC pass runs as one vectorizable loop over contiguous planes.  The

@@ -8,9 +8,44 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace pef {
+
+/// SplitMix64's state increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// SplitMix64's output mix — the one definition of the mixing that
+/// SplitMix64, derive_seed, Xoshiro256's seeding and the closed-form
+/// stream draws below all share.
+[[nodiscard]] constexpr std::uint64_t splitmix_mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+[[nodiscard]] constexpr std::uint64_t rotl64(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+/// xoshiro256**'s output scrambler: a draw is a function of state word 1.
+[[nodiscard]] constexpr std::uint64_t xoshiro_scramble(std::uint64_t s1) {
+  return rotl64(s1 * 5, 7) * 9;
+}
+
+/// The first output of Xoshiro256(seed), with no state set-up: it reads
+/// only state word 1, which is SplitMix64(seed)'s second output.
+[[nodiscard]] constexpr std::uint64_t xoshiro_first_draw(std::uint64_t seed) {
+  return xoshiro_scramble(splitmix_mix(seed + 2 * kSplitMixGamma));
+}
+
+/// The integer form of Xoshiro256::next_bool(p): for a draw x,
+/// next_double() < p holds iff (x >> 11) < bernoulli_threshold(p), because
+/// p * 2^53 is exact for p in [0, 1] and (x >> 11) is an integer.
+[[nodiscard]] inline std::uint64_t bernoulli_threshold(double p) {
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 /// SplitMix64: used to expand a single 64-bit seed into independent
 /// sub-seeds (one per edge, per robot, per trial...).
@@ -19,10 +54,7 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix_mix(state_ += kSplitMixGamma);
   }
 
  private:
@@ -45,14 +77,22 @@ class Xoshiro256 {
   result_type operator()() { return next(); }
 
   std::uint64_t next() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    return step(state_[0], state_[1], state_[2], state_[3]);
+  }
+
+  /// One draw from a state held in four separate words: next() is this
+  /// step on the member state, and a schedule that advances one stream per
+  /// edge keeps the words in four planes so a row is one plain loop.
+  static constexpr std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1,
+                                      std::uint64_t& s2, std::uint64_t& s3) {
+    const std::uint64_t result = xoshiro_scramble(s1);
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl64(s3, 45);
     return result;
   }
 
@@ -65,7 +105,24 @@ class Xoshiro256 {
   bool next_bool(double p) { return next_double() < p; }
 
   /// Uniform integer in [0, bound) using Lemire's rejection-free-ish method.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    return bound == 0 ? 0 : next_below(bound, below_threshold(bound));
+  }
+
+  /// next_below(bound) for bound > 0 with its rejection threshold
+  /// below_threshold(bound) computed once by a caller that reuses the bound.
+  std::uint64_t next_below(std::uint64_t bound, std::uint64_t threshold) {
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
+
+  /// 2^64 mod bound (bound > 0): next_below rejects draws under it, which
+  /// removes the modulo bias.
+  static constexpr std::uint64_t below_threshold(std::uint64_t bound) {
+    return (~bound + 1) % bound;
+  }
 
   /// Raw generator state, exposed so deterministic-replay layers (cycle
   /// detection) can fingerprint and compare streams exactly.
@@ -76,17 +133,33 @@ class Xoshiro256 {
   friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
 
  private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
   std::array<std::uint64_t, 4> state_{};
 };
 
+/// derive_seed's first two stages: the key that every (b, c) stream of one
+/// (master, a) pair starts from.  Stochastic schedules compute it once per
+/// edge and finish each per-round seed with derive_seed_from_key.
+[[nodiscard]] constexpr std::uint64_t derive_key(std::uint64_t master,
+                                                 std::uint64_t a) {
+  return splitmix_mix((splitmix_mix(master + kSplitMixGamma) ^
+                       (a * kSplitMixGamma)) +
+                      kSplitMixGamma);
+}
+
+/// derive_seed's last stages, from a derive_key key.
+[[nodiscard]] constexpr std::uint64_t derive_seed_from_key(
+    std::uint64_t key, std::uint64_t b, std::uint64_t c = 0) {
+  return splitmix_mix((key ^ (b * 0xbf58476d1ce4e5b9ULL)) + kSplitMixGamma) ^
+         (c * 0x94d049bb133111ebULL);
+}
+
 /// Derive a sub-seed for a named stream: deterministic mixing of a master
 /// seed with up to three stream coordinates (e.g. trial, edge, robot).
-[[nodiscard]] std::uint64_t derive_seed(std::uint64_t master, std::uint64_t a,
-                                        std::uint64_t b = 0,
-                                        std::uint64_t c = 0);
+[[nodiscard]] constexpr std::uint64_t derive_seed(std::uint64_t master,
+                                                  std::uint64_t a,
+                                                  std::uint64_t b = 0,
+                                                  std::uint64_t c = 0) {
+  return derive_seed_from_key(derive_key(master, a), b, c);
+}
 
 }  // namespace pef

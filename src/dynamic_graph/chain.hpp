@@ -20,7 +20,7 @@ namespace pef {
 /// and edge_tail(cut).  If `base` is connected-over-time, the result is a
 /// connected-over-time chain (the cut edge is the ring's single allowed
 /// eventually-missing edge).
-class ChainSchedule final : public EdgeSchedule {
+class ChainSchedule final : public WordRowSchedule {
  public:
   explicit ChainSchedule(SchedulePtr base, EdgeId cut)
       : base_(std::move(base)), cut_(cut) {}
@@ -32,15 +32,6 @@ class ChainSchedule final : public EdgeSchedule {
   }
 
   [[nodiscard]] const Ring& ring() const override { return base_->ring(); }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override {
-    EdgeSet s = base_->edges_at(t);
-    s.erase(cut_);
-    return s;
-  }
-  void edges_into(Time t, EdgeSet& out) const override {
-    base_->edges_into(t, out);
-    out.erase(cut_);
-  }
   void edges_into_words(Time t, std::uint64_t* words) const override {
     base_->edges_into_words(t, words);
     words[cut_ >> 6] &= ~(std::uint64_t{1} << (cut_ & 63));

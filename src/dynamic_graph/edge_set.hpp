@@ -10,11 +10,25 @@
 
 namespace pef {
 
+/// Words per row for `edge_count` edges (the words() layout).
+[[nodiscard]] constexpr std::uint32_t edge_word_count(
+    std::uint32_t edge_count) {
+  return (edge_count + 63) / 64;
+}
+
+/// The bits of a row's last word that hold edges (edge_count >= 1); the
+/// bits above them stay clear in every row.
+[[nodiscard]] constexpr std::uint64_t edge_tail_mask(std::uint32_t edge_count) {
+  const std::uint32_t tail_bits =
+      edge_count - (edge_word_count(edge_count) - 1) * 64;
+  return tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
+}
+
 class EdgeSet {
  public:
   EdgeSet() = default;
   explicit EdgeSet(std::uint32_t edge_count)
-      : edge_count_(edge_count), words_((edge_count + 63) / 64, 0) {}
+      : edge_count_(edge_count), words_(edge_word_count(edge_count), 0) {}
 
   /// Full set (all edges present).
   [[nodiscard]] static EdgeSet all(std::uint32_t edge_count) {
@@ -48,6 +62,10 @@ class EdgeSet {
   /// valid until the set is resized or assigned a differently-sized set.
   [[nodiscard]] const std::uint64_t* words() const { return words_.data(); }
 
+  /// Writable words(), for row fillers that write a whole row in place and
+  /// keep the bits past edge_count clear (EdgeSchedule::edges_into_words).
+  [[nodiscard]] std::uint64_t* mutable_words() { return words_.data(); }
+
   /// Overwrite this set's bits from a raw word row in the words() layout
   /// ((edge_count + 63) / 64 words; bits past edge_count are masked off).
   /// Cold-path bridge from engine word planes back to EdgeSet (e.g. trace
@@ -56,11 +74,7 @@ class EdgeSet {
     if (words_.empty()) return;
     const std::size_t last = words_.size() - 1;
     for (std::size_t i = 0; i < last; ++i) words_[i] = words[i];
-    const std::uint32_t tail_bits =
-        edge_count_ - static_cast<std::uint32_t>(last) * 64;
-    const std::uint64_t tail_mask =
-        tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
-    words_[last] = words[last] & tail_mask;
+    words_[last] = words[last] & edge_tail_mask(edge_count_);
   }
 
   void insert(EdgeId e) {
@@ -82,9 +96,7 @@ class EdgeSet {
     if (words_.empty()) return;
     const std::size_t last = words_.size() - 1;
     for (std::size_t i = 0; i < last; ++i) words_[i] = ~0ULL;
-    const std::uint32_t tail_bits =
-        edge_count_ - static_cast<std::uint32_t>(last) * 64;
-    words_[last] = tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
+    words_[last] = edge_tail_mask(edge_count_);
   }
   void clear() {
     for (std::uint64_t& w : words_) w = 0;
@@ -113,10 +125,7 @@ class EdgeSet {
     for (std::size_t i = 0; i < last; ++i) {
       if (words_[i] != ~0ULL) return false;
     }
-    const std::uint32_t tail_bits = edge_count_ - static_cast<std::uint32_t>(last) * 64;
-    const std::uint64_t tail_mask =
-        tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
-    return words_[last] == tail_mask;
+    return words_[last] == edge_tail_mask(edge_count_);
   }
 
   /// Edges present in this set, ascending.
@@ -153,19 +162,38 @@ class EdgeSet {
 // engine-owned contiguous plane (BatchEngine keeps one edge-word row per
 // replica; schedules fill rows in place via EdgeSchedule::edges_into_words).
 
-/// Words per row for `edge_count` edges (the words() layout).
-[[nodiscard]] constexpr std::uint32_t edge_word_count(
-    std::uint32_t edge_count) {
-  return (edge_count + 63) / 64;
+/// Pack 64 per-edge bytes, each 0 or 1, into one row word (byte j -> bit
+/// j): row fillers compute their bits in a plain byte loop GCC vectorises,
+/// then pack eight bytes per multiply.
+[[nodiscard]] inline std::uint64_t pack_edge_bytes(const std::uint8_t* bytes) {
+  std::uint64_t word = 0;
+  for (std::uint32_t i = 0; i < 64; i += 8) {
+    std::uint64_t eight = 0;
+    for (std::uint32_t b = 0; b < 8; ++b) {
+      eight |= static_cast<std::uint64_t>(bytes[i + b]) << (8 * b);
+    }
+    // The multiplier's terms 2^(56 - 7b) carry byte b's bit to bit 56 + b.
+    word |= ((eight * 0x0102040810204080ULL) >> 56) << i;
+  }
+  return word;
 }
+
+// Row fillers are compiled for the portable, AVX2 and x86-64-v4 (AVX-512)
+// tiers, and the loader picks the widest the CPU has; every tier computes
+// the same integers, so the tier never changes a row.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define PEF_ROW_FILLER_CLONES \
+  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
+#else
+#define PEF_ROW_FILLER_CLONES
+#endif
 
 /// Make every edge present in a raw word row (tail bits cleared).
 inline void fill_edge_words(std::uint64_t* words, std::uint32_t edge_count) {
   const std::uint32_t count = edge_word_count(edge_count);
   if (count == 0) return;
   for (std::uint32_t i = 0; i + 1 < count; ++i) words[i] = ~0ULL;
-  const std::uint32_t tail_bits = edge_count - (count - 1) * 64;
-  words[count - 1] = tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
+  words[count - 1] = edge_tail_mask(edge_count);
 }
 
 /// True iff a raw word row holds the full edge set.
@@ -176,10 +204,7 @@ inline void fill_edge_words(std::uint64_t* words, std::uint32_t edge_count) {
   for (std::uint32_t i = 0; i + 1 < count; ++i) {
     if (words[i] != ~0ULL) return false;
   }
-  const std::uint32_t tail_bits = edge_count - (count - 1) * 64;
-  const std::uint64_t tail_mask =
-      tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
-  return words[count - 1] == tail_mask;
+  return words[count - 1] == edge_tail_mask(edge_count);
 }
 
 }  // namespace pef

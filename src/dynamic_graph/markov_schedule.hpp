@@ -12,6 +12,7 @@
 // "links fail and get repaired" model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,14 +21,12 @@
 
 namespace pef {
 
-class MarkovSchedule final : public EdgeSchedule {
+class MarkovSchedule final : public WordRowSchedule {
  public:
   MarkovSchedule(Ring ring, double p_fail, double p_recover,
                  std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -36,21 +35,24 @@ class MarkovSchedule final : public EdgeSchedule {
   }
 
  private:
-  [[nodiscard]] bool edge_present(EdgeId e, Time t) const;
+  void append_row() const;
 
   Ring ring_;
   double p_fail_;
   double p_recover_;
-  std::uint64_t seed_;
+  std::uint64_t fail_threshold_;     // bernoulli_threshold(p_fail)
+  std::uint64_t recover_threshold_;  // bernoulli_threshold(p_recover)
+  std::uint32_t row_words_;
 
-  // Lazily extended per-edge state history (single-threaded, like the rest
-  // of the library).  states_[e][t] = up?
-  struct EdgeChain {
-    std::vector<bool> states;
-    Xoshiro256 rng{0};
-    bool initialised = false;
-  };
-  mutable std::vector<EdgeChain> chains_;
+  // Lazily extended history, one packed row per round from 0 (O(1) random
+  // access at 1 bit per edge-round; single-threaded, like the rest of the
+  // library).  Every edge starts up, and each later row takes one draw
+  // from each edge's own stream Xoshiro256(derive_seed(seed, e, 0x3a7c0f)).
+  // The stream state words live in four planes and the newest row's bits
+  // in a byte plane (up_), all padded to whole 64-edge words.
+  mutable std::array<std::vector<std::uint64_t>, 4> streams_;
+  mutable std::vector<std::uint8_t> up_;
+  mutable std::vector<std::uint64_t> rows_;
 };
 
 }  // namespace pef

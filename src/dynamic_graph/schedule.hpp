@@ -89,6 +89,23 @@ class EdgeSchedule {
   }
 };
 
+/// A schedule stated once, as its word-row filler: edges_at and edges_into
+/// are that row, so the set and row paths cannot disagree.  Every family
+/// that fills rows directly derives from it.
+class WordRowSchedule : public EdgeSchedule {
+ public:
+  [[nodiscard]] EdgeSet edges_at(Time t) const final {
+    EdgeSet s(ring().edge_count());
+    edges_into(t, s);
+    return s;
+  }
+  void edges_into(Time t, EdgeSet& out) const final {
+    PEF_CHECK(out.edge_count() == ring().edge_count());
+    edges_into_words(t, out.mutable_words());
+  }
+  void edges_into_words(Time t, std::uint64_t* words) const override = 0;
+};
+
 using SchedulePtr = std::shared_ptr<const EdgeSchedule>;
 
 }  // namespace pef

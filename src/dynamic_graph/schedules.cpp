@@ -38,32 +38,51 @@ EdgeSet RecordedSchedule::edges_at(Time t) const {
 // BernoulliSchedule
 
 BernoulliSchedule::BernoulliSchedule(Ring ring, double p, std::uint64_t seed)
-    : ring_(ring), p_(p), seed_(seed) {
+    : ring_(ring),
+      p_(p),
+      threshold_(bernoulli_threshold(p)),
+      keys_(std::size_t{64} * edge_word_count(ring.edge_count()), 0) {
   PEF_CHECK(p >= 0.0 && p <= 1.0);
-}
-
-EdgeSet BernoulliSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  edges_into(t, s);
-  return s;
-}
-
-void BernoulliSchedule::edges_into(Time t, EdgeSet& out) const {
-  out.clear();
   for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    // One independent draw per (edge, round); deterministic in (seed, e, t).
-    Xoshiro256 rng(derive_seed(seed_, e, t));
-    if (rng.next_bool(p_)) out.insert(e);
+    keys_[e] = derive_key(seed, e);
   }
 }
+
+namespace {
+
+/// Xoshiro256(s)'s first draw is xoshiro_first_draw(s) and next_bool(p) is
+/// (draw >> 11) < threshold, so bit e of round t costs two mixes and no
+/// stream set-up: branchless, one 64-edge word at a time.
+PEF_ROW_FILLER_CLONES void fill_bernoulli_row(const std::uint64_t* keys,
+                                              std::uint32_t count, Time t,
+                                              std::uint64_t threshold,
+                                              std::uint64_t* words) {
+  for (std::uint32_t w = 0; w < count; ++w) {
+    const std::uint64_t* key = keys + std::size_t{64} * w;
+    std::uint8_t bits[64];
+    for (std::uint32_t j = 0; j < 64; ++j) {
+      const std::uint64_t draw =
+          xoshiro_first_draw(derive_seed_from_key(key[j], t));
+      bits[j] = (draw >> 11) < threshold;
+    }
+    words[w] = pack_edge_bytes(bits);
+  }
+}
+
+/// Which of 64 edges' runs end at round t, as a row word.
+PEF_ROW_FILLER_CLONES std::uint64_t run_ends_word(const Time* run_end,
+                                                  Time t) {
+  std::uint8_t ends[64];
+  for (std::uint32_t j = 0; j < 64; ++j) ends[j] = run_end[j] == t;
+  return pack_edge_bytes(ends);
+}
+
+}  // namespace
 
 void BernoulliSchedule::edges_into_words(Time t, std::uint64_t* words) const {
   const std::uint32_t count = edge_word_count(ring_.edge_count());
-  for (std::uint32_t i = 0; i < count; ++i) words[i] = 0;
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    Xoshiro256 rng(derive_seed(seed_, e, t));
-    if (rng.next_bool(p_)) words[e >> 6] |= 1ULL << (e & 63);
-  }
+  fill_bernoulli_row(keys_.data(), count, t, threshold_, words);
+  words[count - 1] &= edge_tail_mask(ring_.edge_count());
 }
 
 std::string BernoulliSchedule::name() const {
@@ -111,23 +130,6 @@ void PeriodicSchedule::compute_row(Time t, std::uint64_t* words) const {
   }
 }
 
-EdgeSet PeriodicSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  edges_into(t, s);
-  return s;
-}
-
-void PeriodicSchedule::edges_into(Time t, EdgeSet& out) const {
-  if (const std::uint64_t* words = row(t)) {
-    out.assign_words(words);
-    return;
-  }
-  out.clear();
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (present(patterns_[e], t)) out.insert(e);
-  }
-}
-
 void PeriodicSchedule::edges_into_words(Time t, std::uint64_t* words) const {
   if (const std::uint64_t* src = row(t)) {
     std::copy_n(src, row_words_, words);
@@ -144,21 +146,6 @@ TIntervalConnectedSchedule::TIntervalConnectedSchedule(Ring ring,
                                                        std::uint64_t seed)
     : ring_(ring), interval_(interval), seed_(seed) {
   PEF_CHECK(interval > 0);
-}
-
-EdgeSet TIntervalConnectedSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  edges_into(t, s);
-  return s;
-}
-
-void TIntervalConnectedSchedule::edges_into(Time t, EdgeSet& out) const {
-  const Time epoch = t / interval_;
-  Xoshiro256 rng(derive_seed(seed_, epoch));
-  // Draw in [0, n]: value n means "no edge missing this epoch".
-  const std::uint64_t pick = rng.next_below(ring_.edge_count() + 1);
-  out.fill();
-  if (pick < ring_.edge_count()) out.erase(static_cast<EdgeId>(pick));
 }
 
 void TIntervalConnectedSchedule::edges_into_words(Time t,
@@ -187,17 +174,6 @@ EventualMissingEdgeSchedule::EventualMissingEdgeSchedule(SchedulePtr base,
   PEF_CHECK(base_->ring().is_valid_edge(missing_edge_));
 }
 
-EdgeSet EventualMissingEdgeSchedule::edges_at(Time t) const {
-  EdgeSet s = base_->edges_at(t);
-  if (t >= vanish_time_) s.erase(missing_edge_);
-  return s;
-}
-
-void EventualMissingEdgeSchedule::edges_into(Time t, EdgeSet& out) const {
-  base_->edges_into(t, out);
-  if (t >= vanish_time_) out.erase(missing_edge_);
-}
-
 void EventualMissingEdgeSchedule::edges_into_words(
     Time t, std::uint64_t* words) const {
   base_->edges_into_words(t, words);
@@ -220,60 +196,49 @@ BoundedAbsenceSchedule::BoundedAbsenceSchedule(Ring ring, Time max_absence,
     : ring_(ring),
       max_absence_(max_absence),
       max_presence_(max_presence),
-      seed_(seed),
-      runs_(ring.edge_count()) {
+      row_words_(edge_word_count(ring.edge_count())),
+      run_end_(std::size_t{64} * row_words_, kTimeInfinity) {
   PEF_CHECK(max_absence >= 1);
   PEF_CHECK(max_presence >= 1);
-}
-
-bool BoundedAbsenceSchedule::edge_present(EdgeId e, Time t) const {
-  // Run-length decoding with a lazily extended per-edge boundary cache:
-  // runs alternate present/absent starting with present, lengths drawn from
-  // the edge's own stream.  Amortised O(1) for the simulator's monotone
-  // queries, O(log R) for random access.
-  EdgeRuns& runs = runs_[e];
-  if (!runs.initialised) {
-    runs.rng = Xoshiro256(derive_seed(seed_, e));
-    runs.boundaries.push_back(1 + runs.rng.next_below(max_presence_));
-    runs.initialised = true;
-  }
-  while (runs.boundaries.back() <= t) {
-    // Run i covers [boundaries[i-1], boundaries[i]); even i = present run.
-    const bool next_run_absent = runs.boundaries.size() % 2 == 1;
-    const Time span = next_run_absent
-                          ? 1 + runs.rng.next_below(max_absence_)
-                          : 1 + runs.rng.next_below(max_presence_);
-    runs.boundaries.push_back(runs.boundaries.back() + span);
-  }
-  const auto it = std::upper_bound(runs.boundaries.begin(),
-                                   runs.boundaries.end(), t);
-  const auto run_index =
-      static_cast<std::size_t>(it - runs.boundaries.begin());
-  return run_index % 2 == 0;  // even-indexed runs are "present" runs
-}
-
-EdgeSet BoundedAbsenceSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
+  absence_threshold_ = Xoshiro256::below_threshold(max_absence_);
+  presence_threshold_ = Xoshiro256::below_threshold(max_presence_);
   for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) s.insert(e);
+    streams_.emplace_back(derive_seed(seed, e));
+    run_end_[e] = 1 + streams_[e].next_below(max_presence_);
   }
-  return s;
 }
 
-void BoundedAbsenceSchedule::edges_into(Time t, EdgeSet& out) const {
-  out.clear();
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) out.insert(e);
+void BoundedAbsenceSchedule::append_row() const {
+  const std::size_t at = rows_.size();
+  const Time t = at / row_words_;
+  rows_.resize(at + row_words_);
+  std::uint64_t* row = rows_.data() + at;
+  if (t == 0) {
+    fill_edge_words(row, ring_.edge_count());  // every edge opens present
+    return;
+  }
+  const std::uint64_t* prev = row - row_words_;
+  for (std::uint32_t w = 0; w < row_words_; ++w) {
+    // The edges whose run ends at t flip; each draws its next run's length.
+    std::uint64_t ends =
+        run_ends_word(run_end_.data() + std::size_t{64} * w, t);
+    row[w] = prev[w] ^ ends;
+    for (; ends != 0; ends &= ends - 1) {
+      const std::uint32_t j = static_cast<std::uint32_t>(__builtin_ctzll(ends));
+      const EdgeId e = 64 * w + j;
+      const bool present = (row[w] >> j) & 1;
+      const Time bound = present ? max_presence_ : max_absence_;
+      const std::uint64_t threshold =
+          present ? presence_threshold_ : absence_threshold_;
+      run_end_[e] += 1 + streams_[e].next_below(bound, threshold);
+    }
   }
 }
 
 void BoundedAbsenceSchedule::edges_into_words(Time t,
                                               std::uint64_t* words) const {
-  const std::uint32_t count = edge_word_count(ring_.edge_count());
-  for (std::uint32_t i = 0; i < count; ++i) words[i] = 0;
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) words[e >> 6] |= 1ULL << (e & 63);
-  }
+  while (rows_.size() / row_words_ <= t) append_row();
+  std::copy_n(rows_.data() + t * row_words_, row_words_, words);
 }
 
 std::string BoundedAbsenceSchedule::name() const {

@@ -95,14 +95,13 @@ class RecordedSchedule final : public EdgeSchedule {
 // ---------------------------------------------------------------------------
 // BernoulliSchedule
 
-class BernoulliSchedule final : public EdgeSchedule {
+class BernoulliSchedule final : public WordRowSchedule {
  public:
-  /// Each edge is present at each round independently with probability `p`.
+  /// Each edge is present at each round independently with probability `p`:
+  /// edge e at round t is Xoshiro256(derive_seed(seed, e, t)).next_bool(p).
   BernoulliSchedule(Ring ring, double p, std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -111,13 +110,16 @@ class BernoulliSchedule final : public EdgeSchedule {
  private:
   Ring ring_;
   double p_;
-  std::uint64_t seed_;
+  std::uint64_t threshold_;  // bernoulli_threshold(p)
+  // derive_key(seed, e) per edge, padded with zeros to whole 64-edge words:
+  // the per-round draw is then two mixes, in closed form (schedules.cpp).
+  std::vector<std::uint64_t> keys_;
 };
 
 // ---------------------------------------------------------------------------
 // PeriodicSchedule
 
-class PeriodicSchedule final : public EdgeSchedule {
+class PeriodicSchedule final : public WordRowSchedule {
  public:
   struct EdgePattern {
     std::uint32_t period = 1;  // > 0
@@ -133,8 +135,6 @@ class PeriodicSchedule final : public EdgeSchedule {
                                    std::uint32_t duty);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     return {period_, Time{0}};
@@ -170,7 +170,7 @@ class PeriodicSchedule final : public EdgeSchedule {
 // ---------------------------------------------------------------------------
 // TIntervalConnectedSchedule
 
-class TIntervalConnectedSchedule final : public EdgeSchedule {
+class TIntervalConnectedSchedule final : public WordRowSchedule {
  public:
   /// At every round exactly one edge may be absent; which edge (or none) is
   /// redrawn uniformly every `interval` rounds from `seed`.  The resulting
@@ -179,8 +179,6 @@ class TIntervalConnectedSchedule final : public EdgeSchedule {
   TIntervalConnectedSchedule(Ring ring, Time interval, std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -193,7 +191,7 @@ class TIntervalConnectedSchedule final : public EdgeSchedule {
 // ---------------------------------------------------------------------------
 // EventualMissingEdgeSchedule
 
-class EventualMissingEdgeSchedule final : public EdgeSchedule {
+class EventualMissingEdgeSchedule final : public WordRowSchedule {
  public:
   /// `missing_edge` follows `base` before `vanish_time` and is absent forever
   /// afterwards; all other edges follow `base`.  If `base` is
@@ -203,8 +201,6 @@ class EventualMissingEdgeSchedule final : public EdgeSchedule {
                               Time vanish_time);
 
   [[nodiscard]] const Ring& ring() const override { return base_->ring(); }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     // After the vanish the overlay is constant, so the base's periodicity
@@ -226,7 +222,7 @@ class EventualMissingEdgeSchedule final : public EdgeSchedule {
 // ---------------------------------------------------------------------------
 // BoundedAbsenceSchedule
 
-class BoundedAbsenceSchedule final : public EdgeSchedule {
+class BoundedAbsenceSchedule final : public WordRowSchedule {
  public:
   /// Each edge alternates presence runs and absence runs; absence runs are
   /// uniform in [1, max_absence], presence runs uniform in [1, max_presence].
@@ -235,29 +231,29 @@ class BoundedAbsenceSchedule final : public EdgeSchedule {
                          std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
-  [[nodiscard]] bool edge_present(EdgeId e, Time t) const;
+  void append_row() const;
 
   Ring ring_;
   Time max_absence_;
   Time max_presence_;
-  std::uint64_t seed_;
+  std::uint64_t absence_threshold_;   // Xoshiro256::below_threshold(A)
+  std::uint64_t presence_threshold_;  // ... of max_presence
+  std::uint32_t row_words_;
 
-  // Lazily-extended run-length decoding per edge.  Runs alternate
-  // present/absent starting with present; `boundaries_[e][i]` is the first
-  // round of run i+1 (cumulative).  Not thread-safe (the whole library is
-  // single-threaded by design; benches parallelise across processes).
-  struct EdgeRuns {
-    std::vector<Time> boundaries;
-    Xoshiro256 rng{0};
-    bool initialised = false;
-  };
-  mutable std::vector<EdgeRuns> runs_;
+  // Lazily extended history, one packed row per round from 0 (O(1) random
+  // access at 1 bit per edge-round).  Runs alternate present/absent,
+  // starting present; edge e draws its run lengths, in order, from its own
+  // stream Xoshiro256(derive_seed(seed, e)), and run_end_[e] is the round
+  // its current run ends (kTimeInfinity on the padding to whole words).
+  // Not thread-safe (the whole library is single-threaded by design;
+  // benches parallelise across processes).
+  mutable std::vector<Xoshiro256> streams_;
+  mutable std::vector<Time> run_end_;
+  mutable std::vector<std::uint64_t> rows_;
 };
 
 // ---------------------------------------------------------------------------

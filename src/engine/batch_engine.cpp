@@ -398,10 +398,7 @@ struct FsyncPassArgs {
 /// RNG) keep the generic body.
 template <KernelId Id>
 inline constexpr bool kAllFullBranchless =
-    Id == KernelId::kKeepDirection || Id == KernelId::kBounce ||
-    Id == KernelId::kPef1 || Id == KernelId::kPef2 ||
-    Id == KernelId::kPef3Plus || Id == KernelId::kPef3PlusNoRule2 ||
-    Id == KernelId::kPef3PlusNoRule3;
+    kBothEdgesNoCompute<Id> || kPef3Family<Id>;
 
 // ONE fused Look+Compute+Move pass, replica-stride inner loop.  Fusing is
 // sound because every Look input is frozen for the round: E_t and the
@@ -428,8 +425,8 @@ template <KernelId Id, bool AllFull>
   if constexpr (AllFull && kAllFullBranchless<Id>) {
     // Branchless form (see kAllFullBranchless).  LocalDirection is {0, 1}
     // with opposite == XOR 1, so "turn iff P" is dir ^= P for a 0/1 byte
-    // P, and the keep/bounce/pef1/pef2 rules reduce to no Compute at all
-    // (their turn conditions need an absent edge).  Move is one modular
+    // P, and the kBothEdgesNoCompute rules (keep/bounce/pef1/pef2) reduce
+    // to no Compute at all.  Move is one modular
     // step whose direction is a byte compare — the whole robot row is two
     // vectorizable loops over contiguous plane rows.
     for (std::uint32_t i = 0; i < a.k; ++i) {

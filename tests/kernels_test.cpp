@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bitset>
 #include <string>
+#include <vector>
 
 #include "algorithms/registry.hpp"
 #include "common/rng.hpp"
@@ -336,6 +338,47 @@ TEST(KernelSequence, RandomWalkDrawsEachRobotsDerivedStream) {
     EXPECT_GT(turns, 0u) << "robot " << robot;
     EXPECT_LT(turns, 64u) << "robot " << robot;
   }
+}
+
+// BatchEngine's full-ring FSYNC pass runs no Compute for the
+// kBothEdgesNoCompute kernels.  Tie that to the rules themselves: on every
+// View with both edges present, from either direction and from any memory,
+// each such kernel neither turns nor writes memory; and the set is exactly
+// the four rules whose truth tables above never turn with both edges
+// present and carry no memory.
+TEST(KernelBothEdgesPresent, NoComputeKernelsNeitherTurnNorWriteMemory) {
+  std::vector<std::string> no_compute;
+  for (const std::string& name : algorithm_names()) {
+    const KernelSpec spec = make_algorithm(name)->kernel();
+    with_kernel_id(spec.id, [&]<KernelId Id>() {
+      if constexpr (kBothEdgesNoCompute<Id>) {
+        no_compute.push_back(name);
+        for (const bool others : {false, true}) {
+          for (const LocalDirection dir_in :
+               {LocalDirection::kLeft, LocalDirection::kRight}) {
+            for (const std::uint8_t memory : {0, 1, 7}) {
+              KernelState state;
+              init_kernel_state(spec, 0, state);
+              state.has_moved = memory & 1;
+              state.counter = memory;
+              const KernelState before = state;
+              LocalDirection dir = dir_in;
+              kernel_compute<Id>(spec, view_of(true, true, others), dir,
+                                 state);
+              const std::string label =
+                  row_label(name.c_str(), true, true, others, dir_in) +
+                  " memory=" + std::to_string(memory);
+              EXPECT_EQ(dir, dir_in) << label << ": turned";
+              EXPECT_EQ(state, before) << label << ": wrote memory";
+            }
+          }
+        }
+      }
+    });
+  }
+  std::sort(no_compute.begin(), no_compute.end());
+  EXPECT_EQ(no_compute, (std::vector<std::string>{"bounce", "keep-direction",
+                                                  "pef1", "pef2"}));
 }
 
 }  // namespace

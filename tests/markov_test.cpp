@@ -8,6 +8,7 @@
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/properties.hpp"
 #include "dynamic_graph/temporal.hpp"
+#include "schedule_rows.hpp"
 #include "scheduler/simulator.hpp"
 
 namespace pef {
@@ -31,6 +32,37 @@ TEST(MarkovTest, RandomAccessMatchesSequential) {
   for (Time t = 0; t < 150; ++t) expected.push_back(seq.edges_at(t));
   for (Time t = 150; t-- > 0;) {
     EXPECT_EQ(rnd.edges_at(t), expected[static_cast<std::size_t>(t)]);
+  }
+}
+
+TEST(MarkovTest, RowsMatchChainStreams) {
+  // The chain written out longhand: every edge starts up; each later round
+  // takes one draw from the edge's own stream, failing an up edge with
+  // p_fail and recovering a down edge with p_recover.  Ring sizes cover one
+  // word with and without a tail, one bit past a word and three words.
+  const Time kRounds = 300;
+  for (const std::uint32_t n : {2u, 3u, 63u, 64u, 65u, 130u}) {
+    for (const double p_fail : {0.0, 0.3, 0.7, 1.0}) {
+      for (const double p_recover : {0.3, 0.7, 1.0}) {
+        const std::uint64_t seed = 3000 + n;
+        std::vector<std::vector<bool>> history(n);
+        for (EdgeId e = 0; e < n; ++e) {
+          Xoshiro256 rng(derive_seed(seed, e, 0x3a7c0f));
+          bool up = true;
+          history[e].push_back(up);
+          while (history[e].size() < kRounds) {
+            up = up ? !rng.next_bool(p_fail) : rng.next_bool(p_recover);
+            history[e].push_back(up);
+          }
+        }
+        const MarkovSchedule s(Ring(n), p_fail, p_recover, seed);
+        expect_rows_match(s, scrambled_rounds(kRounds),
+                          [&](EdgeId e, Time t) {
+                            return static_cast<bool>(
+                                history[e][static_cast<std::size_t>(t)]);
+                          });
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace pef {
 namespace {
@@ -87,6 +88,63 @@ TEST(RngTest, DeriveSeedSeparatesStreams) {
 TEST(RngTest, DeriveSeedDeterministic) {
   EXPECT_EQ(derive_seed(9, 1, 2, 3), derive_seed(9, 1, 2, 3));
   EXPECT_NE(derive_seed(9, 1, 2, 3), derive_seed(10, 1, 2, 3));
+}
+
+// The closed-form pieces stochastic schedules draw with must equal the
+// stream objects they stand for.
+
+TEST(RngTest, FirstDrawEqualsXoshiroFirstOutput) {
+  SplitMix64 seeds(2024);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t seed = seeds.next();
+    ASSERT_EQ(xoshiro_first_draw(seed), Xoshiro256(seed).next()) << seed;
+  }
+  for (const std::uint64_t seed : {0ULL, 1ULL, ~0ULL}) {
+    EXPECT_EQ(xoshiro_first_draw(seed), Xoshiro256(seed).next()) << seed;
+  }
+}
+
+TEST(RngTest, DeriveSeedFromKeyFinishesDeriveSeed) {
+  for (std::uint64_t master : {0ULL, 7ULL, ~0ULL}) {
+    for (std::uint64_t a : {0ULL, 1ULL, 129ULL}) {
+      const std::uint64_t key = derive_key(master, a);
+      for (std::uint64_t b : {0ULL, 5ULL, (1ULL << 40) + 3}) {
+        EXPECT_EQ(derive_seed_from_key(key, b), derive_seed(master, a, b));
+        EXPECT_EQ(derive_seed_from_key(key, b, 0x3a7c0f),
+                  derive_seed(master, a, b, 0x3a7c0f));
+      }
+    }
+  }
+}
+
+TEST(RngTest, BernoulliThresholdDecidesLikeNextBool) {
+  const double ulp = 0x1.0p-53;
+  for (const double p : {0.0, 1e-300, ulp, 0.3, 0.5, 0.7, 1.0 - ulp, 1.0}) {
+    const std::uint64_t threshold = bernoulli_threshold(p);
+    // Draws on both sides of the threshold, then arbitrary ones.
+    std::vector<std::uint64_t> draws;
+    for (const std::uint64_t u : {threshold - 1, threshold, threshold + 1}) {
+      draws.push_back(u << 11);
+      draws.push_back((u << 11) | 0x7ff);
+    }
+    SplitMix64 more(static_cast<std::uint64_t>(p * 1e6));
+    for (int i = 0; i < 10000; ++i) draws.push_back(more.next());
+    for (const std::uint64_t x : draws) {
+      const bool by_double = static_cast<double>(x >> 11) * 0x1.0p-53 < p;
+      ASSERT_EQ((x >> 11) < threshold, by_double) << "p=" << p << " x=" << x;
+    }
+  }
+}
+
+TEST(RngTest, NextBelowWithPrecomputedThresholdMatches) {
+  for (const std::uint64_t bound : {1ULL, 3ULL, 6ULL, 8ULL, 1000003ULL}) {
+    Xoshiro256 a(bound);
+    Xoshiro256 b(bound);
+    const std::uint64_t threshold = Xoshiro256::below_threshold(bound);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(a.next_below(bound), b.next_below(bound, threshold));
+    }
+  }
 }
 
 }  // namespace

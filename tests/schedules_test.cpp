@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dynamic_graph/markov_schedule.hpp"
+#include "schedule_rows.hpp"
 
 namespace pef {
 namespace {
@@ -330,6 +331,58 @@ TEST(ScheduleWordsTest, EdgesIntoWordsMatchesEdgesAtForEveryFamily) {
         EXPECT_TRUE(edge_words_full(row.data(), n) ==
                     schedule->edges_at(t).full());
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The stochastic families against their definitions, written out longhand:
+// Bernoulli draws one seeded stream per (edge, round); bounded-absence
+// decodes each edge's run lengths from its own stream.  The ring sizes
+// cover one edge word with and without a tail (2, 3, 63, 64), one bit past
+// a word (65) and three words (130).
+
+const std::uint32_t kFormulaRingSizes[] = {2, 3, 63, 64, 65, 130};
+
+TEST(BernoulliScheduleTest, RowsMatchPerEdgeRoundStreams) {
+  for (const std::uint32_t n : kFormulaRingSizes) {
+    for (const double p : {0.0, 0.3, 0.7, 1.0}) {
+      const std::uint64_t seed = 1000 + n;
+      const BernoulliSchedule s(Ring(n), p, seed);
+      std::vector<Time> rounds = scrambled_rounds(200);
+      // Rounds past 32 bits: the round enters the seed as a full word.
+      rounds.insert(rounds.end(), {(Time{1} << 32) - 1, (Time{1} << 40) + 3});
+      expect_rows_match(s, rounds, [&](EdgeId e, Time t) {
+        Xoshiro256 rng(derive_seed(seed, e, t));
+        return rng.next_bool(p);
+      });
+    }
+  }
+}
+
+TEST(BoundedAbsenceTest, RowsMatchRunLengthDecoding) {
+  const Time kRounds = 300;
+  for (const std::uint32_t n : kFormulaRingSizes) {
+    for (const auto& [max_absence, max_presence] :
+         std::vector<std::pair<Time, Time>>{{1, 1}, {3, 5}, {6, 8}}) {
+      const std::uint64_t seed = 2000 + n;
+      // Runs alternate present / absent, starting present; edge e draws
+      // each run's length, in order, from Xoshiro256(derive_seed(seed, e)).
+      std::vector<std::vector<bool>> history(n);
+      for (EdgeId e = 0; e < n; ++e) {
+        Xoshiro256 rng(derive_seed(seed, e));
+        bool present = true;
+        while (history[e].size() < kRounds) {
+          const Time length =
+              1 + rng.next_below(present ? max_presence : max_absence);
+          history[e].insert(history[e].end(), length, present);
+          present = !present;
+        }
+      }
+      const BoundedAbsenceSchedule s(Ring(n), max_absence, max_presence, seed);
+      expect_rows_match(s, scrambled_rounds(kRounds), [&](EdgeId e, Time t) {
+        return static_cast<bool>(history[e][static_cast<std::size_t>(t)]);
+      });
     }
   }
 }

@@ -350,7 +350,8 @@ TEST(SweepSpecTest, CanonicalJsonIsTheStableCacheKey) {
 TEST(SweepSpecTest, CheckedInExampleSpecsParseAndValidate) {
   // Every spec file shipped under examples/specs/ must stay loadable.
   for (const char* name :
-       {"sweep_small.json", "sweep_models.json", "sweep_chain_small.json"}) {
+       {"sweep_small.json", "sweep_models.json", "sweep_chain_small.json",
+        "sweep_stochastic.json"}) {
     std::ifstream file(std::string(PEF_SPEC_DIR) + "/" + name);
     ASSERT_TRUE(file.good()) << name;
     std::ostringstream buffer;

@@ -53,13 +53,17 @@ SweepSpec chain_grid() {
   return spec;
 }
 
-/// Periodic(5,3) cells on multi-word rings (n = 70 and 130 cross one and
-/// two 64-edge word boundaries) under every execution model, with cycle
-/// fast-forward on — loaded from examples/specs/sweep_periodic.json, the
-/// spec the CI sharded smoke also diffs against this golden.
-std::optional<SweepSpec> periodic_grid(std::string* error) {
-  std::ifstream in(std::string(PEF_SPEC_DIR) + "/sweep_periodic.json",
-                   std::ios::binary);
+/// A grid checked in under examples/specs/ — the spec the CI sharded smoke
+/// also diffs against the golden of the same name:
+///   sweep_periodic.json: periodic(5,3) cells on multi-word rings (n = 70
+///     and 130 cross one and two 64-edge word boundaries) under every
+///     execution model, with cycle fast-forward on;
+///   sweep_stochastic.json: the bernoulli, markov and bounded-absence
+///     families under every model on n = 7, 64, 65 and 130 (one word with
+///     and without a tail, one bit past a word, three words).
+std::optional<SweepSpec> spec_file_grid(const std::string& name,
+                                        std::string* error) {
+  std::ifstream in(std::string(PEF_SPEC_DIR) + "/" + name, std::ios::binary);
   std::ostringstream text;
   text << in.rdbuf();
   return parse_sweep_spec(text.str(), error);
@@ -97,6 +101,13 @@ void expect_matches_golden(const SweepSpec& spec, const std::string& name) {
          "and commit the diff";
 }
 
+void expect_spec_file_matches_golden(const std::string& name) {
+  std::string error;
+  const std::optional<SweepSpec> spec = spec_file_grid(name, &error);
+  ASSERT_TRUE(spec.has_value()) << "examples/specs/" << name << ": " << error;
+  expect_matches_golden(*spec, name);
+}
+
 TEST(SweepBaselineTest, GridMatchesGoldenJson) {
   expect_matches_golden(baseline_grid(), "sweep_small.json");
 }
@@ -106,11 +117,11 @@ TEST(SweepBaselineTest, ChainGridMatchesGoldenJson) {
 }
 
 TEST(SweepBaselineTest, PeriodicGridMatchesGoldenJson) {
-  std::string error;
-  const std::optional<SweepSpec> spec = periodic_grid(&error);
-  ASSERT_TRUE(spec.has_value()) << "examples/specs/sweep_periodic.json: "
-                                << error;
-  expect_matches_golden(*spec, "sweep_periodic.json");
+  expect_spec_file_matches_golden("sweep_periodic.json");
+}
+
+TEST(SweepBaselineTest, StochasticGridMatchesGoldenJson) {
+  expect_spec_file_matches_golden("sweep_stochastic.json");
 }
 
 TEST(SweepBaselineTest, ChainGridDiffersFromRingGrid) {
