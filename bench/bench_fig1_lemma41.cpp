@@ -19,7 +19,7 @@
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/lemma41.hpp"
-#include "scheduler/simulator.hpp"
+#include "engine/engine.hpp"
 
 namespace pef::lemma41 {
 namespace {
@@ -37,10 +37,12 @@ Trace run_original(const AlgorithmPtr& algorithm,
   }
   auto schedule = std::make_shared<RecordedSchedule>(ring, rounds,
                                                      TailRule::kRepeatLast);
-  Simulator sim(ring, algorithm, make_oblivious(schedule),
-                {{4, r0_chirality}, {0, Chirality(true)}});
-  sim.run(around4.size());
-  return sim.trace();
+  EngineOptions options;
+  options.record_trace = true;
+  Engine engine(ring, algorithm, make_oblivious(schedule),
+                {{4, r0_chirality}, {0, Chirality(true)}}, options);
+  engine.run(around4.size());
+  return engine.trace();
 }
 
 struct Scenario {

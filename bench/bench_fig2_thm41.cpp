@@ -24,7 +24,6 @@
 #include "common/table.hpp"
 #include "dynamic_graph/properties.hpp"
 #include "engine/engine.hpp"
-#include "scheduler/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace pef;
@@ -52,13 +51,13 @@ int main(int argc, char** argv) {
       auto* handle = adversary.get();
       EngineOptions options;
       options.record_trace = true;  // the legality audit reads edge history
-      Engine sim(ring, make_algorithm(name), std::move(adversary),
-                     {{0, Chirality(true)}, {1, Chirality(true)}}, options);
-      sim.run(600 * n);
+      Engine engine(ring, make_algorithm(name), std::move(adversary),
+                    {{0, Chirality(true)}, {1, Chirality(true)}}, options);
+      engine.run(600 * n);
       report.add_rounds(600 * n);
-      const auto coverage = sim.coverage_report();
+      const auto coverage = engine.coverage_report();
       const auto audit = audit_connectivity(
-          ring, sim.trace().edge_history(), /*patience=*/150 * n);
+          ring, engine.trace().edge_history(), /*patience=*/150 * n);
       const bool defeated = !coverage.perpetual(n);
       all_defeated = all_defeated && defeated && audit.connected_over_time;
       table.add_row({std::to_string(n), name,
@@ -96,9 +95,9 @@ int main(int argc, char** argv) {
     const Ring ring(8);
     auto adversary = std::make_unique<StagedProofAdversary>(ring, 0, 3, 64);
     auto* handle = adversary.get();
-    Simulator sim(ring, make_algorithm("bounce"), std::move(adversary),
+    Engine engine(ring, make_algorithm("bounce"), std::move(adversary),
                   {{0, Chirality(true)}, {1, Chirality(true)}});
-    sim.run(200);
+    engine.run(200);
     TextTable stages({"stage", "rounds", "designated robot", "moves",
                       "removed edges (paper: G_{i+1} surgery)"});
     const auto& log = handle->stage_log();

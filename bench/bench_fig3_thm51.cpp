@@ -19,7 +19,6 @@
 #include "common/table.hpp"
 #include "dynamic_graph/properties.hpp"
 #include "engine/engine.hpp"
-#include "scheduler/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace pef;
@@ -47,13 +46,13 @@ int main(int argc, char** argv) {
       auto* handle = adversary.get();
       EngineOptions options;
       options.record_trace = true;  // the legality audit reads edge history
-      Engine sim(ring, make_algorithm(name), std::move(adversary),
-                     {{0, Chirality(true)}}, options);
-      sim.run(600 * n);
+      Engine engine(ring, make_algorithm(name), std::move(adversary),
+                    {{0, Chirality(true)}}, options);
+      engine.run(600 * n);
       report.add_rounds(600 * n);
-      const auto coverage = sim.coverage_report();
+      const auto coverage = engine.coverage_report();
       const auto audit = audit_connectivity(
-          ring, sim.trace().edge_history(), /*patience=*/150 * n);
+          ring, engine.trace().edge_history(), /*patience=*/150 * n);
       const bool defeated = !coverage.perpetual(n);
       all_defeated = all_defeated && defeated && audit.connected_over_time;
       table.add_row({std::to_string(n), name,
@@ -88,9 +87,9 @@ int main(int argc, char** argv) {
     const Ring ring(5);
     auto adversary = std::make_unique<StagedProofAdversary>(ring, 0, 2, 64);
     auto* handle = adversary.get();
-    Simulator sim(ring, make_algorithm("bounce"), std::move(adversary),
+    Engine engine(ring, make_algorithm("bounce"), std::move(adversary),
                   {{0, Chirality(true)}});
-    sim.run(40);
+    engine.run(40);
     TextTable stages({"stage", "rounds", "moves", "removed edge"});
     const auto& log = handle->stage_log();
     for (std::size_t i = 0; i < log.size() && i < 8; ++i) {

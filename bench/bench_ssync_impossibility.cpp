@@ -49,14 +49,18 @@ int main(int argc, char** argv) {
                  "fsync_visited"});
   BenchReport report("ssync_impossibility");
 
+  // The moves count and the recurrence audit read the per-round records.
+  EngineOptions traced;
+  traced.record_trace = true;
+
   bool reproduction_holds = true;
   for (const std::string& name : algorithm_names()) {
     const Ring ring(kNodes);
 
-    SsyncSimulator ssync(ring, make_algorithm(name, 3),
-                         std::make_unique<SsyncBlockingAdversary>(ring),
-                         ActivationRule::round_robin(),
-                         spread_placements(ring, kRobots));
+    Engine ssync(ring, make_algorithm(name, 3),
+                 std::make_unique<SsyncBlockingAdversary>(ring),
+                 ActivationPolicy{ActivationRule::round_robin()},
+                 spread_placements(ring, kRobots), traced);
     ssync.run(kHorizon);
     std::uint64_t moves = 0;
     for (const RoundRecord& round : ssync.trace().rounds()) {
@@ -110,10 +114,10 @@ int main(int argc, char** argv) {
                          "edges recurrent"});
   for (const std::string& name : algorithm_names()) {
     const Ring ring(kNodes);
-    AsyncSimulator async(ring, make_algorithm(name, 3),
-                         std::make_unique<AsyncMoveBlocker>(ring),
-                         ActivationRule::round_robin(),
-                         spread_placements(ring, kRobots));
+    Engine async(ring, make_algorithm(name, 3),
+                 std::make_unique<AsyncMoveBlocker>(ring),
+                 PhaseScheduler{ActivationRule::round_robin()},
+                 spread_placements(ring, kRobots), traced);
     async.run(kHorizon);
     std::uint64_t moves = 0;
     for (const RoundRecord& round : async.trace().rounds()) {
@@ -144,10 +148,8 @@ int main(int argc, char** argv) {
   }
   async_table.print(std::cout);
 
-  // The same impossibility on the unified Engine's SSYNC/ASYNC fast paths:
-  // blocker + round-robin must freeze pef3+ at Engine-class throughput.
-  // This is the bench the reference engines were too slow for — the model
-  // axis now runs at engine speed.
+  // The same impossibility at 100x the horizon with the trace off:
+  // blocker + round-robin must freeze pef3+ on the untraced round loops.
   std::cout << "\nUnified engine (blocker + round-robin, pef3+, horizon "
             << 100 * kHorizon << "):\n";
   // Throughput goes to the JSON only, so stdout stays byte-comparable

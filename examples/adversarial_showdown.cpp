@@ -15,7 +15,7 @@
 #include "analysis/coverage.hpp"
 #include "common/table.hpp"
 #include "dynamic_graph/properties.hpp"
-#include "scheduler/simulator.hpp"
+#include "engine/engine.hpp"
 
 namespace {
 
@@ -35,11 +35,13 @@ void showdown(std::uint32_t robots, std::uint32_t n, pef::Time horizon) {
     for (std::uint32_t i = 0; i < robots; ++i) {
       placements.push_back({static_cast<NodeId>(i), Chirality(true)});
     }
-    Simulator sim(ring, make_algorithm(name), std::move(adversary),
-                  placements);
-    sim.run(horizon);
-    const auto coverage = analyze_coverage(sim.trace());
-    const auto audit = audit_connectivity(ring, sim.trace().edge_history(),
+    EngineOptions options;
+    options.record_trace = true;  // the legality audit reads edge history
+    Engine engine(ring, make_algorithm(name), std::move(adversary),
+                  placements, options);
+    engine.run(horizon);
+    const auto coverage = analyze_coverage(engine.trace());
+    const auto audit = audit_connectivity(ring, engine.trace().edge_history(),
                                           horizon / 4);
     table.add_row({name,
                    std::to_string(coverage.visited_node_count) + "/" +

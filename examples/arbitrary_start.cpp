@@ -17,7 +17,7 @@
 #include "analysis/coverage.hpp"
 #include "analysis/render.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "engine/engine.hpp"
 
 namespace {
 
@@ -30,20 +30,21 @@ void run_case(const char* title,
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       std::make_shared<StaticSchedule>(ring), missing, /*vanish_time=*/6);
 
-  SimulatorOptions options;
+  EngineOptions options;
+  options.record_trace = true;
   options.enforce_well_initiated = !relax_checks;
 
-  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
+  Engine engine(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 placements, options);
-  sim.run(600);
+  engine.run(600);
 
   std::cout << "--- " << title << " ---\n";
   RenderOptions render;
   render.max_lines = 16;
   render.highlight_edge = missing;
-  render_trace(std::cout, sim.trace(), render);
+  render_trace(std::cout, engine.trace(), render);
 
-  const auto coverage = analyze_coverage(sim.trace());
+  const auto coverage = analyze_coverage(engine.trace());
   std::cout << "nodes visited: " << coverage.visited_node_count << "/8"
             << ", perpetual: " << (coverage.perpetual(8) ? "yes" : "NO")
             << ", max revisit gap: " << coverage.max_revisit_gap << "\n\n";

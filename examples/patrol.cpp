@@ -15,6 +15,7 @@
 #include "analysis/coverage.hpp"
 #include "analysis/sentinels.hpp"
 #include "dynamic_graph/schedules.hpp"
+#include "engine/engine.hpp"
 #include "scheduler/simulator.hpp"
 
 int main() {
@@ -32,8 +33,10 @@ int main() {
   auto schedule = std::make_shared<EventualMissingEdgeSchedule>(
       flicker, kJammedDoor, kJamTime);
 
-  Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
-                spread_placements(ring, 3));
+  EngineOptions options;
+  options.record_trace = true;  // the strip and the analyses read the trace
+  Engine engine(ring, make_algorithm("pef3+"), make_oblivious(schedule),
+                spread_placements(ring, 3), options);
 
   std::cout << "Patrolling " << kRooms
             << " rooms with 3 robots (PEF_3+).  Door " << kJammedDoor
@@ -47,7 +50,7 @@ int main() {
     for (NodeId room = 0; room < kRooms; ++room) {
       std::uint32_t count = 0;
       for (RobotId r = 0; r < 3; ++r) {
-        if (sim.trace().position_at(r, t) == room) ++count;
+        if (engine.trace().position_at(r, t) == room) ++count;
       }
       line += count == 0 ? '.' : static_cast<char>('0' + count);
       if (room == ring.edge_tail(kJammedDoor)) line += '|';
@@ -56,7 +59,7 @@ int main() {
   };
 
   for (Time t = 0; t < kHorizon; ++t) {
-    sim.step();
+    engine.step();
     if (t < 12 || (t >= kJamTime - 2 && t < kJamTime + 10) ||
         (t >= kHorizon - 12)) {
       render(t + 1);
@@ -65,8 +68,8 @@ int main() {
     }
   }
 
-  const auto coverage = analyze_coverage(sim.trace());
-  const auto sentinels = analyze_sentinels(sim.trace(), kJammedDoor);
+  const auto coverage = analyze_coverage(engine.trace());
+  const auto sentinels = analyze_sentinels(engine.trace(), kJammedDoor);
 
   std::cout << "\nAfter " << kHorizon << " rounds:\n"
             << "  every room patrolled       : "

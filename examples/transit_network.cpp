@@ -20,6 +20,7 @@
 #include "analysis/towers.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "dynamic_graph/temporal.hpp"
+#include "engine/engine.hpp"
 #include "scheduler/simulator.hpp"
 
 int main() {
@@ -48,9 +49,11 @@ int main() {
             << (diameter ? std::to_string(*diameter) : std::string(">500"))
             << " rounds\n";
 
-  Simulator periodic_run(ring, make_algorithm("pef3+"),
-                         make_oblivious(timetable),
-                         spread_placements(ring, 3));
+  EngineOptions traced;
+  traced.record_trace = true;  // the coverage and tower analyses read it
+  Engine periodic_run(ring, make_algorithm("pef3+"),
+                      make_oblivious(timetable), spread_placements(ring, 3),
+                      traced);
   periodic_run.run(kHorizon);
   const auto periodic_cov = analyze_coverage(periodic_run.trace());
   std::cout << "PEF_3+ on the timetable : every station visited "
@@ -63,9 +66,9 @@ int main() {
   constexpr EdgeId kClosedSegment = 4;
   auto with_closure = std::make_shared<EventualMissingEdgeSchedule>(
       timetable, kClosedSegment, /*vanish_time=*/100);
-  Simulator closure_run(ring, make_algorithm("pef3+"),
-                        make_oblivious(with_closure),
-                        spread_placements(ring, 3));
+  Engine closure_run(ring, make_algorithm("pef3+"),
+                     make_oblivious(with_closure), spread_placements(ring, 3),
+                     traced);
   closure_run.run(kHorizon);
   const auto closure_cov = analyze_coverage(closure_run.trace());
   const auto towers = analyze_towers(closure_run.trace());

@@ -40,7 +40,8 @@ class BenchReport {
 
   Cell& add_cell();
 
-  /// Top-level free-form metrics (e.g. the Simulator-vs-FastEngine speedup).
+  /// Top-level free-form metrics (e.g. bench_scaling's Engine rounds/sec
+  /// and its speedup over the test-only reference simulator).
   void summary(const std::string& key, double value);
   void summary(const std::string& key, std::uint64_t value);
   void summary(const std::string& key, const std::string& value);

@@ -8,24 +8,25 @@ namespace pef {
 
 namespace {
 
-/// Everything below the engine run: the full per-trace analysis shared by
-/// run_experiment and run_battery.
+/// Everything below the engine run: the full per-trace analysis of one
+/// seed of a battery.
 RunResult analyze_run(const Ring& ring, const Trace& trace,
-                      const ExperimentConfig& config, std::uint64_t seed) {
+                      const ScenarioSpec& spec,
+                      const std::string& algorithm_name, std::uint64_t seed) {
   RunResult result;
   result.coverage = analyze_coverage(trace);
   result.towers = analyze_towers(trace);
   result.legality =
-      audit_connectivity(ring, trace.edge_history(), config.horizon / 4);
-  result.perpetual = result.coverage.perpetual(config.nodes);
+      audit_connectivity(ring, trace.edge_history(), spec.horizon / 4);
+  result.perpetual = result.coverage.perpetual(spec.nodes);
   result.adversary_legal = result.legality.connected_over_time;
-  result.algorithm_name = config.algorithm->name();
-  result.adversary_name = adversary_display_name(config.adversary);
-  result.model = config.model;
-  result.topology = config.topology;
-  result.nodes = config.nodes;
-  result.robots = config.robots;
-  result.horizon = config.horizon;
+  result.algorithm_name = algorithm_name;
+  result.adversary_name = adversary_display_name(spec.adversary);
+  result.model = spec.model;
+  result.topology = spec.topology;
+  result.nodes = spec.nodes;
+  result.robots = spec.robots;
+  result.horizon = spec.horizon;
   result.seed = seed;
   return result;
 }
@@ -59,30 +60,6 @@ std::string run_result_to_json(const RunResult& result) {
   return json.str();
 }
 
-RunResult run_experiment(const ExperimentConfig& config) {
-  PEF_CHECK(config.algorithm != nullptr);
-  PEF_CHECK(config.robots >= 1);
-  PEF_CHECK(config.nodes >= 2);
-  PEF_CHECK(config.horizon >= 1);
-
-  const Ring ring(config.nodes);
-  AdversaryPtr adversary =
-      adversary_from_config(config.adversary, ring, config.seed,
-                            config.robots, config.topology);
-
-  // SSYNC/ASYNC run under seeded Bernoulli activation / phase scheduling;
-  // the battery adversary ignores the activation mask.
-  EngineOptions options;
-  options.record_trace = true;  // the analyses are all trace-based
-  Engine engine = make_standard_engine(
-      ring, config.model, config.algorithm, std::move(adversary),
-      config.activation_p, config.seed,
-      spread_placements(ring, config.robots), options);
-  engine.run(config.horizon);
-
-  return analyze_run(ring, engine.trace(), config, config.seed);
-}
-
 ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
   const auto invalid = spec.validate();
   PEF_CHECK_MSG(!invalid.has_value(), "invalid scenario spec");
@@ -100,14 +77,18 @@ ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
 }
 
 RunResult run_scenario(const ScenarioSpec& spec) {
-  return run_experiment(to_experiment_config(spec));
+  return run_battery(spec, spec.seed, 1).front();
 }
 
 std::vector<RunResult> run_battery(const ScenarioSpec& spec,
                                    std::uint64_t first_seed,
                                    std::uint32_t seeds) {
-  const ExperimentConfig config = to_experiment_config(spec);
+  const auto invalid = spec.validate();
+  PEF_CHECK_MSG(!invalid.has_value(), "invalid scenario spec");
   const std::string algorithm = resolved_algorithm(spec);
+  // The registry's display name (what RunResult reports) is the same for
+  // every seed.
+  const std::string algorithm_name = make_algorithm(algorithm)->name();
   const Ring ring(spec.nodes);
   std::vector<RunResult> results;
   results.reserve(seeds);
@@ -128,7 +109,8 @@ std::vector<RunResult> run_battery(const ScenarioSpec& spec,
       },
       [&](std::uint64_t s, const SeedResult& result) {
         results.push_back(
-            analyze_run(ring, *result.trace, config, first_seed + s));
+            analyze_run(ring, *result.trace, spec, algorithm_name,
+                        first_seed + s));
       });
   return results;
 }

@@ -3,11 +3,9 @@
 // loops over this.
 //
 // Scenarios are described by the data-only ScenarioSpec (core/spec.hpp);
-// run_scenario() executes one.  ExperimentConfig remains as the thin
-// programmatic adapter underneath (it holds a live AlgorithmPtr, which a
-// serializable spec cannot).  Every run records a trace on a solo Engine
-// (run_battery's traced seed groups never batch), so the whole trace
-// analysis suite applies.
+// run_scenario() executes one and run_battery() one across many seeds.
+// Every run records a trace on a solo Engine (run_battery's traced seed
+// groups never batch), so the whole trace analysis suite applies.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +24,8 @@
 
 namespace pef {
 
+/// A spec materialized with a live AlgorithmPtr (which a serializable spec
+/// cannot hold); to_experiment_config is its only producer.
 struct ExperimentConfig {
   std::uint32_t nodes = 4;
   std::uint32_t robots = 3;
@@ -68,14 +68,13 @@ struct RunResult {
 /// the spec, so serve-layer caches may key it by canonical spec JSON).
 [[nodiscard]] std::string run_result_to_json(const RunResult& result);
 
-[[nodiscard]] RunResult run_experiment(const ExperimentConfig& config);
-
 /// Materialize a data-only spec into a runnable config (resolves the
 /// algorithm name; everything else copies over).  Aborts if the spec does
 /// not validate — call spec.validate() first for a recoverable error.
 [[nodiscard]] ExperimentConfig to_experiment_config(const ScenarioSpec& spec);
 
-/// One call = one spec: validate, materialize, run, analyse.
+/// One call = one spec: validate, run, analyse.  Equal to
+/// run_battery(spec, spec.seed, 1).front().
 [[nodiscard]] RunResult run_scenario(const ScenarioSpec& spec);
 
 /// The spec across `seeds` different seeds starting at `first_seed`:

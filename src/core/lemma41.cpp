@@ -6,7 +6,7 @@
 #include "adversary/adversary.hpp"
 #include "analysis/coverage.hpp"
 #include "common/check.hpp"
-#include "scheduler/simulator.hpp"
+#include "engine/engine.hpp"
 
 namespace pef::lemma41 {
 
@@ -221,18 +221,29 @@ MirrorReport replay_and_verify(const Construction& construction,
                                RobotId original_r1,
                                const PrefixSummary& prefix,
                                Time extra_rounds) {
+  EngineOptions options;
+  options.record_trace = true;
+  Engine engine(construction.ring, algorithm,
+                make_oblivious(construction.schedule),
+                {construction.r1, construction.r2}, options);
+  engine.run(prefix.t);
+  // Snapshot the robot states exactly at time t (Claim 4 compares them).
+  const KernelState state_r1_at_t = engine.robot_state(0);
+  const KernelState state_r2_at_t = engine.robot_state(1);
+  engine.run(extra_rounds);
+  return verify_mirror(construction, engine.trace(), state_r1_at_t,
+                       state_r2_at_t, original_trace, original_r1, prefix);
+}
+
+MirrorReport verify_mirror(const Construction& construction,
+                           const Trace& mirrored,
+                           const KernelState& state_r1_at_t,
+                           const KernelState& state_r2_at_t,
+                           const Trace& original_trace, RobotId original_r1,
+                           const PrefixSummary& prefix) {
   MirrorReport report;
   const Time t = prefix.t;
-
-  Simulator sim(construction.ring, algorithm,
-                make_oblivious(construction.schedule),
-                {construction.r1, construction.r2});
-  sim.run(t);
-  // Snapshot the robot states exactly at time t (Claim 4 compares them).
-  const KernelState state_r1_at_t = sim.robot(0).state();
-  const KernelState state_r2_at_t = sim.robot(1).state();
-  sim.run(extra_rounds);
-  const Trace& mirrored = sim.trace();
+  PEF_CHECK(mirrored.length() >= t);
 
   // Claim 1: mirror symmetry of positions and equality of local dirs at
   // every configuration time <= t.
@@ -294,7 +305,7 @@ MirrorReport replay_and_verify(const Construction& construction,
 
   // Post-t behaviour: how long both robots hold the glued extremities.
   report.post_hold_rounds = 0;
-  for (Time tau = t + 1; tau <= t + extra_rounds; ++tau) {
+  for (Time tau = t + 1; tau <= mirrored.length(); ++tau) {
     if (mirrored.position_at(0, tau) == construction.f1 &&
         mirrored.position_at(1, tau) == construction.f2) {
       ++report.post_hold_rounds;

@@ -32,6 +32,7 @@
 
 #include "dynamic_graph/schedules.hpp"
 #include "robot/algorithm.hpp"
+#include "robot/kernel.hpp"
 #include "robot/robot.hpp"
 #include "scheduler/trace.hpp"
 
@@ -109,15 +110,30 @@ struct MirrorReport {
     return claim1_symmetry && claim2_no_tower && claim3_replay &&
            claim4_adjacent;
   }
+
+  [[nodiscard]] bool operator==(const MirrorReport&) const = default;
 };
 
 /// Replays `algorithm` on `construction` for prefix.t + extra_rounds rounds
-/// and mechanically verifies Claims 1-4 against the original trace.
+/// on a traced Engine and mechanically verifies Claims 1-4 against the
+/// original trace (verify_mirror).
 [[nodiscard]] MirrorReport replay_and_verify(const Construction& construction,
                                              const AlgorithmPtr& algorithm,
                                              const Trace& original_trace,
                                              RobotId original_r1,
                                              const PrefixSummary& prefix,
                                              Time extra_rounds);
+
+/// Claims 1-4 and the post-t hold, checked on `mirrored`: a run of at least
+/// prefix.t rounds on `construction`, whose rounds past prefix.t form the
+/// post-t window.  `state_r1_at_t` / `state_r2_at_t` are the two robots'
+/// algorithm memories at time prefix.t (Claim 4 compares them).
+[[nodiscard]] MirrorReport verify_mirror(const Construction& construction,
+                                         const Trace& mirrored,
+                                         const KernelState& state_r1_at_t,
+                                         const KernelState& state_r2_at_t,
+                                         const Trace& original_trace,
+                                         RobotId original_r1,
+                                         const PrefixSummary& prefix);
 
 }  // namespace pef::lemma41

@@ -3,25 +3,28 @@
 // One engine, three execution models (the paper's Section 1 taxonomy):
 //
 //   FSYNC - every robot runs an atomic Look-Compute-Move every round
-//           (the paper's model; reference: scheduler/Simulator);
+//           (the paper's model);
 //   SSYNC - an activation rule selects a subset each round, only
-//           selected robots run L-C-M (reference: SsyncSimulator);
+//           selected robots run L-C-M;
 //   ASYNC - the same rule picks the robots that advance their own
 //           Look / Compute / Move machine one phase per tick, with
-//           possibly-stale views (reference: AsyncSimulator).
+//           possibly-stale views.
 //
 // The rule is an ActivationRule (scheduler/ssync.hpp) run through
-// fill_activation, as in the reference simulators and BatchEngine; the
+// fill_activation, as in BatchEngine and the reference simulators; the
 // ActivationPolicy / PhaseScheduler argument types only pick the SSYNC or
 // the ASYNC constructor.
 //
 // Compute runs the algorithm's kernel (robot/kernel.hpp,
 // algorithms/kernels.hpp): enum-dispatched compute over POD state held in
-// one contiguous vector, dispatched once per round.  The reference engines
-// run the same kernel one robot at a time; differential tests
-// (tests/fast_engine_test.cpp and tests/unified_engine_test.cpp) pin every
-// model's round machinery to its reference engine round-by-round, so the
-// engine is interchangeable with them — just faster:
+// one contiguous vector, dispatched once per round.  Production code — the
+// sweeps, the paper benches, the Lemma 4.1 replay and the examples — runs
+// only this engine and BatchEngine.  Each model has a test-only reference
+// engine in tests/oracles/ that runs the same kernel one robot at a time;
+// differential tests (tests/fast_engine_test.cpp and
+// tests/unified_engine_test.cpp) pin every model's round machinery to its
+// reference engine round-by-round, so the engine is interchangeable with
+// them — just faster:
 //
 //   * struct-of-arrays robot state: parallel vectors for node, local dir,
 //     chirality and POD kernel memory;
@@ -144,6 +147,10 @@ class Engine {
   }
   [[nodiscard]] Chirality robot_chirality(RobotId r) const {
     return Chirality(right_cw_[r] != 0);
+  }
+  /// Robot `r`'s algorithm memory (its kernel state).
+  [[nodiscard]] const KernelState& robot_state(RobotId r) const {
+    return kstates_[r];
   }
   /// Pending phase of robot `r` — ASYNC only.
   [[nodiscard]] Phase phase_of(RobotId r) const;
@@ -295,7 +302,7 @@ class Engine {
 };
 
 /// An Engine wired the way every FSYNC-battery entry point wires a solo run
-/// (run_experiment, SweepRunner, pef_run; the solo counterpart of
+/// (run_scenario, SweepRunner, pef_run; the solo counterpart of
 /// wire_standard_replica): FSYNC takes `adversary` directly; SSYNC/ASYNC
 /// adapt it through SsyncFromFsyncAdversary and run under the standard
 /// seeded Bernoulli activation / phase scheduler, so solo and batched runs

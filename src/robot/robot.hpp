@@ -1,10 +1,8 @@
-// One robot as tracked by the reference simulators: placement + model
-// variables + kernel memory.
+// A robot's initial placement: its start node and chirality.
 #pragma once
 
 #include "common/types.hpp"
 #include "robot/chirality.hpp"
-#include "robot/kernel.hpp"
 
 namespace pef {
 
@@ -13,38 +11,6 @@ namespace pef {
 struct RobotPlacement {
   NodeId node = 0;
   Chirality chirality{true};
-};
-
-class Robot {
- public:
-  /// The kernel memory starts default-constructed; the simulator fills it
-  /// with init_kernel_state (algorithms/kernels.hpp).
-  Robot(RobotId id, RobotPlacement placement)
-      : id_(id), node_(placement.node), chirality_(placement.chirality) {}
-
-  [[nodiscard]] RobotId id() const { return id_; }
-  [[nodiscard]] NodeId node() const { return node_; }
-  [[nodiscard]] Chirality chirality() const { return chirality_; }
-  [[nodiscard]] LocalDirection dir() const { return dir_; }
-
-  /// The global direction this robot currently "considers" (paper
-  /// terminology): its local dir translated through its chirality.
-  [[nodiscard]] GlobalDirection considered_direction() const {
-    return chirality_.to_global(dir_);
-  }
-
-  [[nodiscard]] KernelState& state() { return state_; }
-  [[nodiscard]] const KernelState& state() const { return state_; }
-
-  void set_node(NodeId node) { node_ = node; }
-  void set_dir(LocalDirection dir) { dir_ = dir; }
-
- private:
-  RobotId id_;
-  NodeId node_;
-  Chirality chirality_;
-  LocalDirection dir_ = LocalDirection::kLeft;
-  KernelState state_;
 };
 
 }  // namespace pef

@@ -14,24 +14,17 @@
 // Since SSYNC embeds into ASYNC (activate a robot's three phases
 // back-to-back), the [10] impossibility carries over: the blocking
 // adversary defeats every algorithm here too (see async_test.cpp).  The
-// engine also degenerates to FSYNC when every robot advances every round
-// over a static graph (cross-checked against Simulator in tests).
+// model also degenerates to FSYNC when every robot advances every round
+// over a static graph (cross-checked in tests).
 //
-// AsyncSimulator below is the canonical reference; the unified Engine
-// (src/engine/engine.hpp) runs the same model on its throughput path with
-// ExecutionModel::kAsync.
+// The unified Engine (src/engine/engine.hpp) runs this model with
+// ExecutionModel::kAsync; its test-only reference engine lives in
+// tests/oracles/.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "robot/algorithm.hpp"
-#include "robot/robot.hpp"
-#include "robot/view.hpp"
 #include "scheduler/ssync.hpp"
-#include "scheduler/trace.hpp"
 
 namespace pef {
 
@@ -65,45 +58,12 @@ struct PhaseScheduler {
   return {ActivationRule::bernoulli(p, derive_seed(seed, 0xa5fc))};
 }
 
-/// The ASYNC reference engine.  Reuses the SsyncAdversary interface (the
-/// edge adversary sees the configuration and the advancing set each round).
-class AsyncSimulator {
- public:
-  AsyncSimulator(Ring ring, AlgorithmPtr algorithm,
-                 std::unique_ptr<SsyncAdversary> adversary,
-                 ActivationRule phases,
-                 const std::vector<RobotPlacement>& placements);
-
-  /// One scheduler tick: every selected robot executes its pending phase.
-  RoundRecord step();
-  void run(Time rounds);
-
-  [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] Configuration snapshot() const;
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
-  [[nodiscard]] Phase phase_of(RobotId r) const { return phases_[r]; }
-
- private:
-  Ring ring_;
-  AlgorithmPtr algorithm_;
-  std::unique_ptr<SsyncAdversary> adversary_;
-  ActivationRule scheduler_;
-  std::vector<Robot> robots_;
-  std::vector<Phase> phases_;
-  std::vector<View> pending_views_;  // snapshot taken at Look time
-  std::vector<std::uint64_t> advancing_set_;  // reused across ticks
-  ActivationMask advancing_;         // reused across ticks
-  ActivationMask moving_;            // reused across ticks
-  Time now_ = 0;
-  std::unique_ptr<Trace> trace_;
-};
-
 /// ASYNC blocker: removes both adjacent edges of every robot that executes
 /// its Move phase this tick.  No robot ever moves; every edge stays
 /// recurrent under non-lockstep fair scheduling.  (The ASYNC face of the
 /// [10] impossibility.)
 ///
-/// In the ASYNC engine the adversary's `activated` mask is the set of
+/// In the ASYNC model the adversary's `activated` mask is the set of
 /// robots whose *Move* phase fires this tick — SsyncBlockingAdversary has
 /// exactly the wanted behaviour, so the blocker is a thin alias kept for
 /// readability at call sites.

@@ -17,15 +17,11 @@
 // round-robin or Bernoulli-p over a seeded stream) and one inline
 // fill_activation that turns it into round t's robot set.  The ASYNC model
 // (scheduler/async.hpp) picks which robots advance a phase with the same
-// rule, and every engine — SsyncSimulator and AsyncSimulator below, the
-// unified Engine (src/engine/engine.hpp) and every BatchEngine lane — calls
-// the same fill, so they all draw one Bernoulli stream in one order.
-// tests/activation_test.cpp pins each rule to masks written out by hand.
-//
-// Two engines run this model: SsyncSimulator below (the canonical
-// reference) and the unified Engine with ExecutionModel::kSsync (the
-// throughput path; differentially tested against SsyncSimulator
-// round-by-round).
+// rule, and every engine — the unified Engine with ExecutionModel::kSsync
+// (src/engine/engine.hpp), every BatchEngine lane and the test-only
+// reference simulators (tests/oracles/) — calls the same fill, so they all
+// draw one Bernoulli stream in one order.  tests/activation_test.cpp pins
+// each rule to masks written out by hand.
 #pragma once
 
 #include <algorithm>
@@ -33,15 +29,13 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/adversary.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "dynamic_graph/schedule.hpp"
-#include "robot/algorithm.hpp"
-#include "robot/robot.hpp"
-#include "scheduler/trace.hpp"
 
 namespace pef {
 
@@ -175,7 +169,7 @@ struct ActivationPolicy {
 
 /// The standard seeded activation policy used by every entry point that
 /// maps the FSYNC adversary battery onto SSYNC (SweepRunner,
-/// run_experiment, pef_run): Bernoulli(p) over a stream derived from `seed`
+/// run_scenario, pef_run): Bernoulli(p) over a stream derived from `seed`
 /// with one shared salt, so fast and reference runs of the same
 /// (model, seed) see identical activation streams.
 [[nodiscard]] inline ActivationPolicy standard_ssync_activation(
@@ -219,10 +213,22 @@ class SsyncBlockingAdversary final : public SsyncAdversary {
   explicit SsyncBlockingAdversary(Ring ring) : ring_(ring) {}
   [[nodiscard]] const Ring& ring() const override { return ring_; }
   [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma,
-                                     const ActivationMask& activated) override;
-  void choose_edges_into(Time t, const Configuration& gamma,
+                                     const ActivationMask& activated) override {
+    EdgeSet edges(ring_.edge_count());
+    choose_edges_into(t, gamma, activated, edges);
+    return edges;
+  }
+  void choose_edges_into(Time, const Configuration& gamma,
                          const ActivationMask& activated,
-                         EdgeSet& out) override;
+                         EdgeSet& out) override {
+    out.fill();
+    for (RobotId r = 0; r < gamma.robot_count(); ++r) {
+      if (activated[r] == 0) continue;
+      const NodeId u = gamma.robot(r).node;
+      out.erase(ring_.adjacent_edge(u, GlobalDirection::kClockwise));
+      out.erase(ring_.adjacent_edge(u, GlobalDirection::kCounterClockwise));
+    }
+  }
   [[nodiscard]] std::string name() const override { return "ssync-blocker"; }
 
  private:
@@ -266,34 +272,6 @@ class SsyncFromFsyncAdversary final : public SsyncAdversary {
  private:
   AdversaryPtr inner_;
   const EdgeSchedule* schedule_ = nullptr;  // non-null iff inner is oblivious
-};
-
-/// The SSYNC reference engine.  Mirrors Simulator but applies the L-C-M
-/// cycle only to activated robots.
-class SsyncSimulator {
- public:
-  SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
-                 std::unique_ptr<SsyncAdversary> adversary,
-                 ActivationRule activation,
-                 const std::vector<RobotPlacement>& placements);
-
-  RoundRecord step();
-  void run(Time rounds);
-
-  [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] Configuration snapshot() const;
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
-
- private:
-  Ring ring_;
-  AlgorithmPtr algorithm_;
-  std::unique_ptr<SsyncAdversary> adversary_;
-  ActivationRule activation_;
-  std::vector<Robot> robots_;
-  std::vector<std::uint64_t> activated_set_;  // reused across rounds
-  ActivationMask activated_;                  // reused across rounds
-  Time now_ = 0;
-  std::unique_ptr<Trace> trace_;
 };
 
 }  // namespace pef

@@ -1,8 +1,9 @@
 // Execution traces: the (G_i, gamma_i) sequence of one run.
 //
 // The trace is the single source of truth for all post-hoc analysis
-// (coverage, towers, legality audits, figure reproduction): the simulator
-// appends one RoundRecord per round and analysis modules consume it.
+// (coverage, towers, legality audits, figure reproduction): a traced Engine
+// (EngineOptions::record_trace) appends one RoundRecord per round and
+// analysis modules consume it.
 #pragma once
 
 #include <vector>
@@ -22,6 +23,9 @@ struct RobotRoundRecord {
   LocalDirection dir_after = LocalDirection::kLeft;   // dir after Compute
   bool moved = false;
   bool saw_other_robots = false;
+
+  friend bool operator==(const RobotRoundRecord&,
+                         const RobotRoundRecord&) = default;
 };
 
 struct RoundRecord {
@@ -29,6 +33,8 @@ struct RoundRecord {
   /// The adversary's E_t for this round.
   EdgeSet edges;
   std::vector<RobotRoundRecord> robots;
+
+  friend bool operator==(const RoundRecord&, const RoundRecord&) = default;
 };
 
 class Trace {

@@ -9,7 +9,7 @@
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "kernel_robot.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -10,7 +10,7 @@
 #include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/properties.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -6,7 +6,7 @@
 #include "adversary/adversary.hpp"
 #include "algorithms/registry.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -10,7 +10,7 @@
 #include "dynamic_graph/edge_set.hpp"
 #include "dynamic_graph/ring.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -3,21 +3,20 @@
 
 #include <gtest/gtest.h>
 
-#include "algorithms/registry.hpp"
 #include "core/explore.hpp"
 
 namespace pef {
 namespace {
 
 TEST(ExperimentTest, RunFillsAllFields) {
-  ExperimentConfig config;
-  config.nodes = 6;
-  config.robots = 3;
-  config.algorithm = make_algorithm("pef3+");
-  config.adversary = adversary_config(AdversaryKind::kStatic);
-  config.horizon = 300;
-  config.seed = 5;
-  const RunResult result = run_experiment(config);
+  ScenarioSpec spec;
+  spec.nodes = 6;
+  spec.robots = 3;
+  spec.algorithm = "pef3+";
+  spec.adversary = adversary_config(AdversaryKind::kStatic);
+  spec.horizon = 300;
+  spec.seed = 5;
+  const RunResult result = run_scenario(spec);
   EXPECT_EQ(result.algorithm_name, "pef3+");
   EXPECT_EQ(result.adversary_name, "static");
   EXPECT_EQ(result.nodes, 6u);
@@ -29,31 +28,31 @@ TEST(ExperimentTest, RunFillsAllFields) {
 }
 
 TEST(ExperimentTest, SameSeedSameResult) {
-  ExperimentConfig config;
-  config.nodes = 7;
-  config.robots = 3;
-  config.algorithm = make_algorithm("pef3+");
-  config.adversary = adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}});
-  config.horizon = 500;
-  config.seed = 42;
-  const RunResult a = run_experiment(config);
-  const RunResult b = run_experiment(config);
+  ScenarioSpec spec;
+  spec.nodes = 7;
+  spec.robots = 3;
+  spec.algorithm = "pef3+";
+  spec.adversary = adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}});
+  spec.horizon = 500;
+  spec.seed = 42;
+  const RunResult a = run_scenario(spec);
+  const RunResult b = run_scenario(spec);
   EXPECT_EQ(a.coverage.visit_counts, b.coverage.visit_counts);
   EXPECT_EQ(a.coverage.max_revisit_gap, b.coverage.max_revisit_gap);
   EXPECT_EQ(a.towers.tower_formation_count, b.towers.tower_formation_count);
 }
 
 TEST(ExperimentTest, DifferentSeedsUsuallyDiffer) {
-  ExperimentConfig config;
-  config.nodes = 7;
-  config.robots = 3;
-  config.algorithm = make_algorithm("pef3+");
-  config.adversary = adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}});
-  config.horizon = 500;
-  config.seed = 1;
-  const RunResult a = run_experiment(config);
-  config.seed = 2;
-  const RunResult b = run_experiment(config);
+  ScenarioSpec spec;
+  spec.nodes = 7;
+  spec.robots = 3;
+  spec.algorithm = "pef3+";
+  spec.adversary = adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}});
+  spec.horizon = 500;
+  spec.seed = 1;
+  const RunResult a = run_scenario(spec);
+  spec.seed = 2;
+  const RunResult b = run_scenario(spec);
   EXPECT_NE(a.coverage.visit_counts, b.coverage.visit_counts);
 }
 
@@ -77,14 +76,14 @@ TEST(ExperimentTest, StandardBatteryIsLegalEverywhere) {
   // Every adversary family in the battery must produce connected-over-time
   // prefixes (they are the *possibility*-side workloads).
   for (const AdversaryConfig& adversary : standard_battery_configs()) {
-    ExperimentConfig config;
-    config.nodes = 6;
-    config.robots = 3;
-    config.algorithm = make_algorithm("pef3+");
-    config.adversary = adversary;
-    config.horizon = 800;
-    config.seed = 9;
-    const RunResult result = run_experiment(config);
+    ScenarioSpec spec;
+    spec.nodes = 6;
+    spec.robots = 3;
+    spec.algorithm = "pef3+";
+    spec.adversary = adversary;
+    spec.horizon = 800;
+    spec.seed = 9;
+    const RunResult result = run_scenario(spec);
     EXPECT_TRUE(result.adversary_legal) << adversary_display_name(adversary);
   }
 }

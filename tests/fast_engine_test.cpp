@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "engine/sweep_runner.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -8,7 +8,7 @@
 #include "core/computability.hpp"
 #include "core/experiment.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {
@@ -136,15 +136,15 @@ TEST(AblationTest, FullPef3PlusWinsWhereAblationsLose) {
 TEST(BoundaryTest, TwoRobotsOnTriangleSucceedButFourNodesFail) {
   // n = 3 is the exact boundary for k = 2.
   {
-    ExperimentConfig config;
-    config.nodes = 3;
-    config.robots = 2;
-    config.algorithm = make_algorithm("pef2");
-    config.adversary =
+    ScenarioSpec spec;
+    spec.nodes = 3;
+    spec.robots = 2;
+    spec.algorithm = "pef2";
+    spec.adversary =
         adversary_config(AdversaryKind::kTInterval, {{"interval", 3}});
-    config.horizon = 2000;
-    config.seed = 3;
-    EXPECT_TRUE(run_experiment(config).perpetual);
+    spec.horizon = 2000;
+    spec.seed = 3;
+    EXPECT_TRUE(run_scenario(spec).perpetual);
   }
   {
     const Ring ring(4);
@@ -159,15 +159,15 @@ TEST(BoundaryTest, TwoRobotsOnTriangleSucceedButFourNodesFail) {
 
 TEST(BoundaryTest, OneRobotOnTwoNodesSucceedsButThreeFail) {
   {
-    ExperimentConfig config;
-    config.nodes = 2;
-    config.robots = 1;
-    config.algorithm = make_algorithm("pef1");
-    config.adversary =
+    ScenarioSpec spec;
+    spec.nodes = 2;
+    spec.robots = 1;
+    spec.algorithm = "pef1";
+    spec.adversary =
         adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}});
-    config.horizon = 2000;
-    config.seed = 4;
-    EXPECT_TRUE(run_experiment(config).perpetual);
+    spec.horizon = 2000;
+    spec.seed = 4;
+    EXPECT_TRUE(run_scenario(spec).perpetual);
   }
   {
     const Ring ring(3);

@@ -5,7 +5,8 @@
 
 #include "adversary/adversary.hpp"
 #include "algorithms/registry.hpp"
-#include "scheduler/simulator.hpp"
+#include "engine/engine.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef::lemma41 {
 namespace {
@@ -105,6 +106,42 @@ TEST(ExtractPrefixTest, RejectsWideWanderer) {
   EXPECT_EQ(extract_prefix(sim.trace(), 0, 3), std::nullopt);
 }
 
+// Runs `construction` on the reference Simulator and on a traced Engine for
+// prefix.t + extra rounds: the Engine must record the oracle's trace round
+// by round, and the claims checked on the oracle's trace and states must
+// give `report`, what replay_and_verify returned.
+void expect_replay_matches_oracle(const Construction& construction,
+                                  const AlgorithmPtr& algo,
+                                  const Trace& original,
+                                  const PrefixSummary& prefix, Time extra,
+                                  const MirrorReport& report) {
+  Simulator oracle(construction.ring, algo,
+                   make_oblivious(construction.schedule),
+                   {construction.r1, construction.r2});
+  EngineOptions options;
+  options.record_trace = true;
+  Engine engine(construction.ring, algo,
+                make_oblivious(construction.schedule),
+                {construction.r1, construction.r2}, options);
+  oracle.run(prefix.t);
+  engine.run(prefix.t);
+  const KernelState oracle_r1_at_t = oracle.robot(0).state();
+  const KernelState oracle_r2_at_t = oracle.robot(1).state();
+  EXPECT_EQ(engine.robot_state(0), oracle_r1_at_t);
+  EXPECT_EQ(engine.robot_state(1), oracle_r2_at_t);
+  oracle.run(extra);
+  engine.run(extra);
+  const auto& expected = oracle.trace().rounds();
+  const auto& actual = engine.trace().rounds();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t j = 0; j < expected.size(); ++j) {
+    EXPECT_TRUE(actual[j] == expected[j]) << "round " << j;
+  }
+  EXPECT_EQ(report, verify_mirror(construction, oracle.trace(),
+                                  oracle_r1_at_t, oracle_r2_at_t, original, 0,
+                                  prefix));
+}
+
 struct MirrorCase {
   const char* algorithm;
   std::vector<std::pair<bool, bool>> around4;
@@ -130,12 +167,15 @@ TEST_P(MirrorConstructionTest, AllFourClaimsHold) {
   // Opposite chirality placement (the paper's setup).
   EXPECT_EQ(construction.r1.chirality.flipped(), construction.r2.chirality);
 
+  constexpr Time kExtra = 50;
   const auto report = replay_and_verify(construction, algo, original, 0,
-                                        *prefix, /*extra_rounds=*/50);
+                                        *prefix, kExtra);
   EXPECT_TRUE(report.claim1_symmetry);
   EXPECT_TRUE(report.claim2_no_tower);
   EXPECT_TRUE(report.claim3_replay);
   EXPECT_TRUE(report.claim4_adjacent);
+  expect_replay_matches_oracle(construction, algo, original, *prefix, kExtra,
+                               report);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -183,6 +223,8 @@ TEST(MirrorConstructionTest, CampingAlgorithmHoldsGluedNodesForever) {
   EXPECT_TRUE(report.all_claims());
   EXPECT_EQ(report.post_hold_rounds, 200u);
   EXPECT_LE(report.visited_nodes, 2u);
+  expect_replay_matches_oracle(construction, algo, original, *prefix, 200,
+                               report);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include "analysis/towers.hpp"
 #include "common/rng.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -8,8 +8,8 @@
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/properties.hpp"
 #include "dynamic_graph/temporal.hpp"
+#include "oracles/simulators.hpp"
 #include "schedule_rows.hpp"
-#include "scheduler/simulator.hpp"
 
 namespace pef {
 namespace {

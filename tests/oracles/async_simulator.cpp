@@ -1,4 +1,4 @@
-#include "scheduler/async.hpp"
+#include "oracles/simulators.hpp"
 
 #include "algorithms/kernels.hpp"
 #include "common/check.hpp"

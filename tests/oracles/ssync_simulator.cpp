@@ -1,29 +1,9 @@
-#include "scheduler/ssync.hpp"
+#include "oracles/simulators.hpp"
 
 #include "algorithms/kernels.hpp"
 #include "common/check.hpp"
 
 namespace pef {
-
-EdgeSet SsyncBlockingAdversary::choose_edges(Time t,
-                                             const Configuration& gamma,
-                                             const ActivationMask& activated) {
-  EdgeSet edges(ring_.edge_count());
-  choose_edges_into(t, gamma, activated, edges);
-  return edges;
-}
-
-void SsyncBlockingAdversary::choose_edges_into(
-    Time, const Configuration& gamma, const ActivationMask& activated,
-    EdgeSet& out) {
-  out.fill();
-  for (RobotId r = 0; r < gamma.robot_count(); ++r) {
-    if (activated[r] == 0) continue;
-    const NodeId u = gamma.robot(r).node;
-    out.erase(ring_.adjacent_edge(u, GlobalDirection::kClockwise));
-    out.erase(ring_.adjacent_edge(u, GlobalDirection::kCounterClockwise));
-  }
-}
 
 SsyncSimulator::SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
                                std::unique_ptr<SsyncAdversary> adversary,

@@ -11,7 +11,7 @@
 #include "analysis/towers.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "kernel_robot.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -10,7 +10,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

@@ -17,7 +17,7 @@
 #include "analysis/coverage.hpp"
 #include "analysis/towers.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

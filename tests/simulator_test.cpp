@@ -1,5 +1,5 @@
 // Unit tests for the FSYNC execution engine.
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 #include <gtest/gtest.h>
 

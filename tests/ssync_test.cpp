@@ -7,7 +7,7 @@
 #include "analysis/coverage.hpp"
 #include "dynamic_graph/properties.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "oracles/simulators.hpp"
 
 namespace pef {
 namespace {

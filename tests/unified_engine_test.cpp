@@ -22,8 +22,8 @@
 #include "core/experiment.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "engine/sweep_runner.hpp"
+#include "oracles/simulators.hpp"
 #include "scheduler/async.hpp"
-#include "scheduler/simulator.hpp"
 #include "scheduler/ssync.hpp"
 
 namespace pef {
