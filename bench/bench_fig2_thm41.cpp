@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
       engine.run(600 * n);
       report.add_rounds(600 * n);
       const auto coverage = engine.coverage_report();
-      const auto audit = audit_connectivity(
-          ring, engine.trace().edge_history(), /*patience=*/150 * n);
+      const auto audit =
+          audit_connectivity(engine.trace(), /*patience=*/150 * n);
       const bool defeated = !coverage.perpetual(n);
       all_defeated = all_defeated && defeated && audit.connected_over_time;
       table.add_row({std::to_string(n), name,

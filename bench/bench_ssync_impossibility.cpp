@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
       }
     }
     const auto ssync_cov = analyze_coverage(ssync.trace());
-    const auto audit = audit_connectivity(
-        ring, ssync.trace().edge_history(), /*patience=*/kHorizon / 4);
+    const auto audit =
+        audit_connectivity(ssync.trace(), /*patience=*/kHorizon / 4);
 
     Engine fsync(
         ring, make_algorithm(name, 3),
@@ -126,8 +126,7 @@ int main(int argc, char** argv) {
       }
     }
     const auto cov = analyze_coverage(async.trace());
-    const auto audit = audit_connectivity(
-        ring, async.trace().edge_history(), kHorizon / 4);
+    const auto audit = audit_connectivity(async.trace(), kHorizon / 4);
     reproduction_holds = reproduction_holds && moves == 0 &&
                          cov.visited_node_count == kRobots &&
                          audit.connected_over_time;

@@ -98,9 +98,8 @@ CellResult measure_impossible(std::uint32_t n, std::uint32_t k) {
       ++cell.failures;  // an algorithm surviving would refute the row
       cell.measured_possible = true;
     }
-    const auto audit = audit_connectivity(ring,
-                                          engine.trace().edge_history(),
-                                          /*patience=*/125 * n);
+    const auto audit =
+        audit_connectivity(engine.trace(), /*patience=*/125 * n);
     cell.all_legal = cell.all_legal && audit.connected_over_time;
   }
   cell.detail = "proof adversary vs " +

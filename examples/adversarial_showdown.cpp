@@ -41,8 +41,7 @@ void showdown(std::uint32_t robots, std::uint32_t n, pef::Time horizon) {
                   placements, options);
     engine.run(horizon);
     const auto coverage = analyze_coverage(engine.trace());
-    const auto audit = audit_connectivity(ring, engine.trace().edge_history(),
-                                          horizon / 4);
+    const auto audit = audit_connectivity(engine.trace(), horizon / 4);
     table.add_row({name,
                    std::to_string(coverage.visited_node_count) + "/" +
                        std::to_string(n),

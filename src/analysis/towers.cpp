@@ -1,24 +1,10 @@
 #include "analysis/towers.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace pef {
 
 namespace {
-
-/// Robots grouped by node at configuration time `t`.
-std::map<NodeId, std::vector<RobotId>> groups_at(const Trace& trace, Time t) {
-  std::map<NodeId, std::vector<RobotId>> groups;
-  const std::uint32_t k = trace.initial_configuration().robot_count();
-  for (RobotId r = 0; r < k; ++r) {
-    groups[trace.position_at(r, t)].push_back(r);
-  }
-  for (auto it = groups.begin(); it != groups.end();) {
-    it = it->second.size() < 2 ? groups.erase(it) : std::next(it);
-  }
-  return groups;
-}
 
 /// Considered (global) direction of robot `r` after the Compute phase of
 /// round `t` — i.e. its dir in configuration t+1 and during the Move of t.
@@ -31,28 +17,48 @@ GlobalDirection considered_after_compute(const Trace& trace, RobotId r,
   return chirality.to_global(rec.dir_after);
 }
 
+/// A tower still alive at the current configuration time.  The recorded
+/// node is the formation node (a tower follows its robot set, which may
+/// move together across nodes, e.g. two same-direction robots travelling
+/// as a pair).
+struct OpenTower {
+  std::vector<RobotId> robots;  // ascending
+  Time start = 0;
+  NodeId formed_at = 0;
+};
+
+/// Robots sharing one node at the current configuration time: the range
+/// [begin, end) of the (node, robot)-sorted occupancy keys, and the index
+/// of the open tower with exactly this robot set, if any.
+struct Group {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  std::int64_t carried = -1;
+};
+
+/// Occupancy keys: node << 32 | robot, so sorting groups robots by node.
+std::uint64_t occupancy_key(NodeId node, RobotId r) {
+  return static_cast<std::uint64_t>(node) << 32 | r;
+}
+NodeId node_of(std::uint64_t key) { return static_cast<NodeId>(key >> 32); }
+RobotId robot_of(std::uint64_t key) {
+  return static_cast<RobotId>(key & 0xffffffffULL);
+}
+
 }  // namespace
 
 TowerReport analyze_towers(const Trace& trace) {
   TowerReport report;
   const Time horizon = trace.length();
+  const Configuration& initial = trace.initial_configuration();
+  const std::uint32_t k = initial.robot_count();
 
-  // Open towers keyed by their robot set (a tower follows its robots: the
-  // set may move together across nodes, e.g. two same-direction robots
-  // travelling as a pair).  The recorded node is the formation node.
-  struct Open {
-    std::vector<RobotId> robots;
-    Time start;
-    NodeId formed_at;
-  };
-  std::map<std::vector<RobotId>, Open> open;
-
-  auto close = [&](const Open& tower, Time end) {
+  auto close = [&](OpenTower& tower, Time end) {
     TowerEvent event;
     event.node = tower.formed_at;
     event.start = tower.start;
     event.end = end;
-    event.robots = tower.robots;
+    event.robots = std::move(tower.robots);
     report.max_tower_size =
         std::max(report.max_tower_size,
                  static_cast<std::uint32_t>(event.robots.size()));
@@ -78,32 +84,90 @@ TowerReport analyze_towers(const Trace& trace) {
     report.towers.push_back(std::move(event));
   };
 
-  for (Time t = 0; t <= horizon; ++t) {
-    const auto groups = groups_at(trace, t);
-    // Robot sets sharing a node right now.
-    std::map<std::vector<RobotId>, NodeId> sets_now;
-    for (const auto& [node, robots] : groups) sets_now.emplace(robots, node);
+  // Towers alive at one time have disjoint robot sets, so ordering them by
+  // robot set is ordering them by their smallest robot.  Both lists below
+  // keep that order, which is also the order towers closing at the same
+  // time are reported in.
+  std::vector<OpenTower> open;
+  std::vector<OpenTower> next;
+  std::vector<Group> groups;
+  std::vector<std::uint64_t> keys(k);
+  // seen[u] == t + 1 iff some robot stands on u at time t.
+  std::vector<Time> seen(trace.ring().node_count(), 0);
 
-    // Close towers whose exact robot set no longer shares a node.
-    for (auto it = open.begin(); it != open.end();) {
-      if (!sets_now.contains(it->first)) {
-        close(it->second, t - 1);
-        it = open.erase(it);
+  for (Time t = 0; t <= horizon; ++t) {
+    bool shared = false;
+    for (RobotId r = 0; r < k; ++r) {
+      const NodeId node =
+          t == 0 ? initial.robot(r).node
+                 : trace.rounds()[static_cast<std::size_t>(t - 1)]
+                       .robots[r]
+                       .node_after;
+      shared |= seen[node] == t + 1;
+      seen[node] = t + 1;
+      keys[r] = occupancy_key(node, r);
+    }
+    if (!shared && open.empty()) continue;
+
+    // Robot sets sharing a node right now, ordered by smallest robot.
+    groups.clear();
+    if (shared) {
+      std::sort(keys.begin(), keys.end());
+      for (std::uint32_t i = 0; i < k;) {
+        std::uint32_t j = i + 1;
+        while (j < k && node_of(keys[j]) == node_of(keys[i])) ++j;
+        if (j - i >= 2) groups.push_back(Group{i, j});
+        i = j;
+      }
+      std::sort(groups.begin(), groups.end(),
+                [&](const Group& a, const Group& b) {
+                  return robot_of(keys[a.begin]) < robot_of(keys[b.begin]);
+                });
+    }
+
+    // Close towers whose exact robot set no longer shares a node (a
+    // membership change closes the old set here and starts a fresh maximal
+    // interval below); the others carry over to their group.
+    std::size_t g = 0;
+    for (std::size_t o = 0; o < open.size(); ++o) {
+      const std::vector<RobotId>& robots = open[o].robots;
+      while (g < groups.size() &&
+             robot_of(keys[groups[g].begin]) < robots.front()) {
+        ++g;
+      }
+      if (g < groups.size() &&
+          groups[g].end - groups[g].begin == robots.size() &&
+          std::equal(robots.begin(), robots.end(),
+                     keys.begin() + groups[g].begin,
+                     [](RobotId r, std::uint64_t key) {
+                       return r == robot_of(key);
+                     })) {
+        groups[g].carried = static_cast<std::int64_t>(o);
       } else {
-        ++it;
+        close(open[o], t - 1);
       }
     }
-    // Open towers for new robot sets (including membership changes, which
-    // close the old set above and start a fresh maximal interval here).
-    for (const auto& [robots, node] : sets_now) {
-      if (!open.contains(robots)) {
-        open.emplace(robots, Open{robots, t, node});
-        ++report.tower_formation_count;
+    next.clear();
+    for (const Group& group : groups) {
+      if (group.carried >= 0) {
+        next.push_back(
+            std::move(open[static_cast<std::size_t>(group.carried)]));
+        continue;
       }
+      OpenTower tower;
+      tower.robots.reserve(group.end - group.begin);
+      for (std::uint32_t i = group.begin; i < group.end; ++i) {
+        tower.robots.push_back(robot_of(keys[i]));
+      }
+      tower.start = t;
+      tower.formed_at = node_of(keys[group.begin]);
+      next.push_back(std::move(tower));
+      ++report.tower_formation_count;
     }
+    open.swap(next);
   }
   // Close whatever is still open at the horizon.
-  for (const auto& [robots, tower] : open) close(tower, horizon);
+  for (OpenTower& tower : open) close(tower, horizon);
 
   return report;
 }

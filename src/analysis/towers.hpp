@@ -9,6 +9,13 @@
 // analyze_towers() extracts every maximal tower from a trace and evaluates
 // both properties (they are reported, not assumed, so benches can show them
 // *failing* for ablated algorithms).
+//
+// It is one forward pass over configuration times 0..length: a time at
+// which no two robots share a node and no tower is open costs one O(k)
+// occupancy check; otherwise the k (node, robot) pairs are sorted and the
+// sharing sets are matched against the open towers, which are kept ordered
+// by robot set.  Towers closing at one time are reported in robot-set
+// order.
 #pragma once
 
 #include <cstdint>

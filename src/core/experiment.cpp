@@ -8,16 +8,15 @@ namespace pef {
 
 namespace {
 
-/// Everything below the engine run: the full per-trace analysis of one
-/// seed of a battery.
-RunResult analyze_run(const Ring& ring, const Trace& trace,
-                      const ScenarioSpec& spec,
+/// Everything below the engine run: the analysis of one seed of a
+/// battery.  Coverage is the Engine's own incremental report; towers and
+/// the connectivity audit each take one pass over the trace.
+RunResult analyze_run(const SeedResult& run, const ScenarioSpec& spec,
                       const std::string& algorithm_name, std::uint64_t seed) {
   RunResult result;
-  result.coverage = analyze_coverage(trace);
-  result.towers = analyze_towers(trace);
-  result.legality =
-      audit_connectivity(ring, trace.edge_history(), spec.horizon / 4);
+  result.coverage = run.coverage;
+  result.towers = analyze_towers(*run.trace);
+  result.legality = audit_connectivity(*run.trace, spec.horizon / 4);
   result.perpetual = result.coverage.perpetual(spec.nodes);
   result.adversary_legal = result.legality.connected_over_time;
   result.algorithm_name = algorithm_name;
@@ -109,8 +108,7 @@ std::vector<RunResult> run_battery(const ScenarioSpec& spec,
       },
       [&](std::uint64_t s, const SeedResult& result) {
         results.push_back(
-            analyze_run(ring, *result.trace, spec, algorithm_name,
-                        first_seed + s));
+            analyze_run(result, spec, algorithm_name, first_seed + s));
       });
   return results;
 }

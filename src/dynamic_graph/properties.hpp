@@ -7,6 +7,11 @@
 // available for schedule families that expose their structure (e.g.
 // EventualMissingEdgeSchedule), and the audit is used by benches to certify
 // that adaptive adversaries stayed legal on the realized prefix.
+//
+// Every audit is one forward pass over the window's rows: each round's
+// absent-edge words are compared with the previous round's, and only the
+// edges that appeared or vanished are touched.  A traced run is audited
+// straight from its Trace rows (audit_connectivity(trace, patience)).
 #pragma once
 
 #include <optional>
@@ -17,6 +22,8 @@
 #include "dynamic_graph/schedule.hpp"
 
 namespace pef {
+
+class Trace;
 
 /// Union of all edge sets over [0, horizon): the (observed) underlying graph
 /// edge set E_G restricted to the window.
@@ -57,11 +64,15 @@ struct ConnectivityAudit {
 [[nodiscard]] ConnectivityAudit audit_connectivity(
     const EdgeSchedule& schedule, Time horizon, Time patience);
 
-/// Same audit over an explicitly recorded sequence of edge sets (used for
-/// adaptive adversaries, whose choices are a function of the execution and
-/// are recorded by the simulator).
+/// Same audit over an explicit sequence of edge sets, one per round.
 [[nodiscard]] ConnectivityAudit audit_connectivity(
     const Ring& ring, const std::vector<EdgeSet>& rounds, Time patience);
+
+/// Same audit over a traced run's edge sets, read in place from its rows
+/// (used for adaptive adversaries, whose choices are a function of the
+/// execution).
+[[nodiscard]] ConnectivityAudit audit_connectivity(const Trace& trace,
+                                                   Time patience);
 
 /// The paper's OneEdge(u, t, t') predicate: one adjacent edge of `u` is
 /// continuously missing from `t` to `t'` while the other adjacent edge of

@@ -11,11 +11,4 @@ NodeId Trace::position_at(RobotId r, Time t) const {
   return rounds_[static_cast<std::size_t>(t - 1)].robots[r].node_after;
 }
 
-std::vector<EdgeSet> Trace::edge_history() const {
-  std::vector<EdgeSet> history;
-  history.reserve(rounds_.size());
-  for (const RoundRecord& r : rounds_) history.push_back(r.edges);
-  return history;
-}
-
 }  // namespace pef

@@ -1,9 +1,12 @@
 // Execution traces: the (G_i, gamma_i) sequence of one run.
 //
 // The trace is the single source of truth for all post-hoc analysis
-// (coverage, towers, legality audits, figure reproduction): a traced Engine
-// (EngineOptions::record_trace) appends one RoundRecord per round and
-// analysis modules consume it.
+// (coverage, towers, legality audits, mobility, rendering, figure
+// reproduction): a traced Engine (EngineOptions::record_trace) appends one
+// RoundRecord per round and analysis modules consume it.  The tower
+// analysis and the connectivity audit read the rounds in place, in time
+// order, in one pass each: analyze_towers walks the robot records and
+// audit_connectivity(trace, patience) the edge rows.
 #pragma once
 
 #include <vector>
@@ -57,9 +60,6 @@ class Trace {
   /// Node of robot `r` at the *start* of round `t` (so t == length() gives
   /// the final position).
   [[nodiscard]] NodeId position_at(RobotId r, Time t) const;
-
-  /// The sequence of chosen edge sets (for connectivity audits).
-  [[nodiscard]] std::vector<EdgeSet> edge_history() const;
 
  private:
   Ring ring_;

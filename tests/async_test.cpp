@@ -111,8 +111,7 @@ TEST(AsyncTest, MoveBlockerKeepsEdgesRecurrent) {
                        ActivationRule::round_robin(),
                        spread_placements(ring, 3));
   async.run(900);
-  const auto audit =
-      audit_connectivity(ring, async.trace().edge_history(), 200);
+  const auto audit = audit_connectivity(async.trace(), 200);
   EXPECT_TRUE(audit.connected_over_time);
   EXPECT_TRUE(audit.suspected_missing.empty());
 }

@@ -86,8 +86,7 @@ TEST(ConfinementTest, CageIsLegalAgainstMovers) {
                 std::make_unique<ConfinementAdversary>(ring, 3, 2),
                 {{3, Chirality(true)}});
   sim.run(1000);
-  const auto audit =
-      audit_connectivity(ring, sim.trace().edge_history(), /*patience=*/250);
+  const auto audit = audit_connectivity(sim.trace(), /*patience=*/250);
   EXPECT_TRUE(audit.connected_over_time);
 }
 

@@ -3,10 +3,95 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/explore.hpp"
 
 namespace pef {
 namespace {
+
+/// The scenario golden's grid: every algorithm the serve pool draws from
+/// (PEF_3+ and the four baselines) under seven adversaries — four
+/// oblivious families, the seeded stochastic ones and the adaptive greedy
+/// blocker — and all three models, on rings of one word with and without a
+/// tail, one bit past a word, and three words.  Every run is traced and
+/// analysed (coverage, towers, connectivity audit), so a change in any
+/// analysis that reaches run_result_to_json shows up here.
+std::vector<ScenarioSpec> scenario_grid() {
+  const std::vector<AdversaryConfig> adversaries = {
+      adversary_config(AdversaryKind::kEventualMissing),
+      adversary_config(AdversaryKind::kPeriodic, {{"period", 5}, {"duty", 3}}),
+      adversary_config(AdversaryKind::kTInterval, {{"interval", 4}}),
+      adversary_config(AdversaryKind::kBernoulli, {{"p", 0.7}}),
+      adversary_config(AdversaryKind::kMarkov,
+                       {{"p_fail", 0.2}, {"p_recover", 0.4}}),
+      adversary_config(AdversaryKind::kBoundedAbsence),
+      adversary_config(AdversaryKind::kGreedyBlocker),
+  };
+  const std::vector<std::string> algorithms = {
+      "pef3+", "keep-direction", "bounce", "oscillating", "random-walk"};
+  std::vector<ScenarioSpec> grid;
+  for (const AdversaryConfig& adversary : adversaries) {
+    for (const ExecutionModel model :
+         {ExecutionModel::kFsync, ExecutionModel::kSsync,
+          ExecutionModel::kAsync}) {
+      for (const std::string& algorithm : algorithms) {
+        for (const std::uint32_t n : {7u, 64u, 65u, 130u}) {
+          for (const std::uint32_t k : {3u, 5u}) {
+            ScenarioSpec spec;
+            spec.nodes = n;
+            spec.robots = k;
+            spec.algorithm = algorithm;
+            spec.adversary = adversary;
+            spec.model = model;
+            spec.horizon = 1500;
+            spec.seed = 1 + grid.size();
+            grid.push_back(spec);
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(ExperimentTest, ScenarioGridMatchesGoldenJson) {
+  // One run_result_to_json line per scenario.  To regenerate after an
+  // intentional change: PEF_UPDATE_BASELINES=1 build/experiment_test.
+  std::string json;
+  for (const ScenarioSpec& spec : scenario_grid()) {
+    json += run_result_to_json(run_scenario(spec));
+    json += '\n';
+  }
+  const std::string path =
+      std::string(PEF_BASELINE_DIR) + "/scenarios_mix.json";
+  if (std::getenv("PEF_UPDATE_BASELINES") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << json;
+    GTEST_SKIP() << "baseline regenerated at " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  std::istringstream got_lines(json);
+  std::istringstream want_lines(golden.str());
+  std::string got;
+  std::string want;
+  std::size_t line = 0;
+  while (std::getline(want_lines, want)) {
+    ++line;
+    ASSERT_TRUE(std::getline(got_lines, got)) << "missing line " << line;
+    EXPECT_EQ(got, want) << "scenario line " << line;
+  }
+  EXPECT_FALSE(std::getline(got_lines, got)) << "extra line " << line + 1;
+  EXPECT_EQ(line, scenario_grid().size());
+}
 
 TEST(ExperimentTest, RunFillsAllFields) {
   ScenarioSpec spec;

@@ -150,29 +150,50 @@ TEST(FastEngineDifferentialTest, MatchesSimulatorOnOtherGeometries) {
 
 TEST(FastEngineTest, IncrementalCoverageMatchesTraceAnalysis) {
   // The engine's O(1)-per-round coverage bookkeeping must agree with the
-  // trace-based analyze_coverage on every field.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const Ring ring(8);
-    const auto placements = random_placements(ring, 3, seed);
-    EngineOptions options;
-    options.record_trace = true;
-    Engine engine(
-        ring, make_algorithm("pef3+"),
-        make_oblivious(std::make_shared<BernoulliSchedule>(ring, 0.6, seed)),
-        placements, options);
-    engine.run(400);
+  // trace-based analyze_coverage on every field, under every model and
+  // under both an oblivious and an adaptive adversary (run_scenario reports
+  // the incremental one).
+  for (const ExecutionModel model :
+       {ExecutionModel::kFsync, ExecutionModel::kSsync,
+        ExecutionModel::kAsync}) {
+    for (const bool adaptive : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const Ring ring(8);
+        const auto placements = random_placements(ring, 3, seed);
+        EngineOptions options;
+        options.record_trace = true;
+        AdversaryPtr adversary =
+            adaptive ? make_greedy(ring, 3)
+                     : make_oblivious(std::make_shared<BernoulliSchedule>(
+                           ring, 0.6, seed));
+        Engine engine =
+            make_standard_engine(ring, model, make_algorithm("pef3+"),
+                                 std::move(adversary), 0.5, seed, placements,
+                                 options);
+        engine.run(400);
 
-    const CoverageReport from_trace = analyze_coverage(engine.trace());
-    const CoverageReport incremental = engine.coverage_report();
-    EXPECT_EQ(incremental.visit_counts, from_trace.visit_counts);
-    EXPECT_EQ(incremental.cover_time, from_trace.cover_time);
-    EXPECT_EQ(incremental.visited_node_count, from_trace.visited_node_count);
-    EXPECT_EQ(incremental.max_revisit_gap, from_trace.max_revisit_gap);
-    EXPECT_EQ(incremental.max_closed_gap, from_trace.max_closed_gap);
-    EXPECT_EQ(incremental.nodes_visited_in_suffix,
-              from_trace.nodes_visited_in_suffix);
-    EXPECT_EQ(incremental.horizon, from_trace.horizon);
-    EXPECT_EQ(incremental.suffix_window, from_trace.suffix_window);
+        const CoverageReport from_trace = analyze_coverage(engine.trace());
+        const CoverageReport incremental = engine.coverage_report();
+        const std::string what = std::string(to_string(model)) +
+                                 (adaptive ? " greedy-blocker" : " bernoulli") +
+                                 " seed=" + std::to_string(seed);
+        EXPECT_EQ(incremental.visit_counts, from_trace.visit_counts) << what;
+        EXPECT_EQ(incremental.cover_time, from_trace.cover_time) << what;
+        EXPECT_EQ(incremental.visited_node_count,
+                  from_trace.visited_node_count)
+            << what;
+        EXPECT_EQ(incremental.max_revisit_gap, from_trace.max_revisit_gap)
+            << what;
+        EXPECT_EQ(incremental.max_closed_gap, from_trace.max_closed_gap)
+            << what;
+        EXPECT_EQ(incremental.nodes_visited_in_suffix,
+                  from_trace.nodes_visited_in_suffix)
+            << what;
+        EXPECT_EQ(incremental.horizon, from_trace.horizon) << what;
+        EXPECT_EQ(incremental.suffix_window, from_trace.suffix_window)
+            << what;
+      }
+    }
   }
 }
 

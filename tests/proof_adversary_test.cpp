@@ -36,8 +36,7 @@ TEST(ProofThm51Test, RealizedGraphIsLegalForEveryAlgorithm) {
     Simulator sim(ring, make_algorithm(name), std::move(adversary),
                   {{2, Chirality(true)}});
     sim.run(1500);
-    const auto audit = audit_connectivity(ring, sim.trace().edge_history(),
-                                          /*patience=*/400);
+    const auto audit = audit_connectivity(sim.trace(), /*patience=*/400);
     EXPECT_TRUE(audit.connected_over_time) << name;
     EXPECT_LE(audit.suspected_missing.size(), 1u) << name;
   }
@@ -129,8 +128,7 @@ TEST(ProofThm41Test, LegalityForEveryAlgorithm) {
     Simulator sim(ring, make_algorithm(name), std::move(adversary),
                   {{2, Chirality(true)}, {3, Chirality(true)}});
     sim.run(2000);
-    const auto audit = audit_connectivity(ring, sim.trace().edge_history(),
-                                          /*patience=*/500);
+    const auto audit = audit_connectivity(sim.trace(), /*patience=*/500);
     EXPECT_LE(audit.suspected_missing.size(), 1u) << name;
     EXPECT_TRUE(audit.connected_over_time) << name;
   }

@@ -108,10 +108,9 @@ TEST(PropertyTest, LegalityAuditMonotoneInPatience) {
   Simulator sim(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                 spread_placements(ring, 3));
   sim.run(600);
-  const auto history = sim.trace().edge_history();
   std::size_t previous = 100;
   for (Time patience : {Time{10}, Time{100}, Time{400}, Time{600}}) {
-    const auto audit = audit_connectivity(ring, history, patience);
+    const auto audit = audit_connectivity(sim.trace(), patience);
     EXPECT_LE(audit.suspected_missing.size(), previous);
     previous = audit.suspected_missing.size();
   }

@@ -94,7 +94,7 @@ TEST(SimulatorTest, TraceAccumulatesAndPositionsAt) {
   EXPECT_EQ(trace.position_at(0, 0), 5u);
   EXPECT_EQ(trace.position_at(0, 1), 4u);
   EXPECT_EQ(trace.position_at(0, 4), 1u);
-  EXPECT_EQ(trace.edge_history().size(), 4u);
+  EXPECT_EQ(trace.rounds().size(), 4u);
 }
 
 TEST(SimulatorTest, TwoNodeRingShuttle) {

@@ -66,8 +66,7 @@ TEST(SsyncTest, BlockerKeepsEveryEdgeRecurrent) {
                      ActivationRule::round_robin(),
                      spread_placements(ring, 3));
   sim.run(600);
-  const auto audit =
-      audit_connectivity(ring, sim.trace().edge_history(), /*patience=*/150);
+  const auto audit = audit_connectivity(sim.trace(), /*patience=*/150);
   EXPECT_TRUE(audit.connected_over_time);
   EXPECT_TRUE(audit.suspected_missing.empty());
 }

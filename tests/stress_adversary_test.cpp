@@ -56,8 +56,7 @@ TEST(GreedyBlockerTest, RealizedPrefixIsLegal) {
                 std::make_unique<GreedyBlockerAdversary>(ring, 5),
                 spread_placements(ring, 3));
   sim.run(2000);
-  const auto audit =
-      audit_connectivity(ring, sim.trace().edge_history(), 500);
+  const auto audit = audit_connectivity(sim.trace(), 500);
   EXPECT_TRUE(audit.connected_over_time);
   EXPECT_TRUE(audit.suspected_missing.empty());
   EXPECT_LE(audit.max_closed_absence, 5u);

@@ -385,8 +385,7 @@ int main(int argc, char** argv) {
   const auto coverage = analyze_coverage(trace);
   const auto towers = analyze_towers(trace);
   const auto mobility = analyze_mobility(trace);
-  const auto audit = audit_connectivity(ring, trace.edge_history(),
-                                        horizon / 4);
+  const auto audit = audit_connectivity(trace, horizon / 4);
 
   TextTable table({"metric", "value"});
   table.add_row({"nodes visited", std::to_string(coverage.visited_node_count) +
